@@ -3,11 +3,14 @@
 Small numpy-backed engine: every operation builds a graph node holding a
 closure that propagates adjoints to its inputs. `Tensor.backward()` runs a
 topological sweep over that graph. Everything is float64; graphs are rebuilt
-per forward pass, so variable bag sizes are unproblematic.
+per forward pass, so variable bag sizes are unproblematic. Operations whose
+inputs all track no gradient keep no parents and no closure, so a forward
+pass over `ParamStore.detached()` builds no graph at all.
 """
 
 from __future__ import annotations
 
+import copy
 import struct
 
 import numpy as np
@@ -340,6 +343,21 @@ class ParamStore:
 
     def param_count(self) -> int:
         return sum(t.data.size for t in self._params.values())
+
+    def detached(self) -> "ParamStore":
+        """This store with every parameter as a constant leaf over the same
+        array: no copy, and forward passes on it record no graph.
+
+        In-place updates (Adam) show through the view; `load_state_dict`
+        replaces arrays, so take a fresh view after it. A store with no
+        gradient-tracking parameter is its own view.
+        """
+        if not any(t.requires_grad for t in self._params.values()):
+            return self
+        view = copy.copy(self)
+        view._params = {p: Tensor(t.data) for p, t in self._params.items()}
+        view._frozen = True
+        return view
 
     def zero_grad(self):
         for t in self._params.values():

@@ -13,6 +13,7 @@ one-hots) or fetched from an image pool (image mode) at batch time.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -30,6 +31,8 @@ _GENERATION_SHARD = 1024
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 _MAX_IDX_ELEMENTS = 1 << 34
+# labels are carried as float64 training targets; integers above this lose precision
+_EXACT_LABEL_MAX = 1 << 53
 
 
 # -- IDX files -------------------------------------------------------------
@@ -83,6 +86,7 @@ class ImagePool:
     split: str
     source: str = ""
     offset: int = 0
+    labels_source: str = ""
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
@@ -104,7 +108,8 @@ def build_pool(images_path, labels_path, split, offset=0, count=None) -> ImagePo
     if count is None:
         count = len(images) - offset
     sel = slice(offset, offset + count)
-    return ImagePool(images[sel], labels[sel], split, source=str(images_path), offset=offset)
+    return ImagePool(images[sel], labels[sel], split, source=str(images_path), offset=offset,
+                     labels_source=str(labels_path))
 
 
 def partition_pool(images_path, labels_path, counts: dict) -> dict:
@@ -162,6 +167,12 @@ class DatasetSpec:
             raise ValueError("noise must be >= 0")
         if self.mode == "image" and self.noise > 0:
             raise ValueError("feature noise applies to symbolic mode only")
+        if self.task == "Mult":
+            n = max(self.sizes(), default=0)
+            high = oracle.TaskSpec("Mult").class_range[1]
+            if high ** n > _EXACT_LABEL_MAX:
+                raise ValueError(f"Mult labels of set size {n} reach {high}^{n} > 2^53, "
+                                 f"past exact float64 integers")
 
     def sizes(self) -> tuple:
         if isinstance(self.set_size, int):
@@ -246,6 +257,7 @@ def generate_dataset(spec: DatasetSpec, pools: dict = None) -> Dataset:
         splits[split] = bags
 
     ds = Dataset(spec, task, splits, pools=pools)
+    check_split_purity(ds)
     ds.manifest = _build_manifest(ds)
     return ds
 
@@ -261,17 +273,21 @@ def validate_labels(ds: Dataset):
 
 def check_split_purity(ds: Dataset):
     """No image (global index within its source file) may appear in two splits."""
+    if not ds.pools:
+        return
     used = {}
     for split, bags in ds.splits.items():
-        pool = ds.pools[split] if ds.pools else None
-        for bag in bags:
-            for idx in bag.img_idx:
-                if idx < 0:
-                    continue
-                key = (pool.source, pool.offset + idx)
-                owner = used.setdefault(key, split)
-                if owner != split:
-                    raise ValueError(f"image {key} used by both {owner} and {split}")
+        pool = ds.pools[split]
+        idx = np.fromiter(itertools.chain.from_iterable(b.img_idx for b in bags), dtype=np.int64)
+        mine = pool.offset + np.flatnonzero(np.bincount(idx[idx >= 0]))  # sorted, unique
+        for owner, (source, theirs) in used.items():
+            if source != pool.source:
+                continue
+            shared = np.intersect1d(mine, theirs, assume_unique=True)
+            if shared.size:
+                raise ValueError(f"image {(pool.source, int(shared[0]))} "
+                                 f"used by both {owner} and {split}")
+        used[split] = (pool.source, mine)
 
 
 def label_stats(bags) -> dict:
@@ -306,7 +322,8 @@ def _build_manifest(ds: Dataset) -> dict:
     }
     if ds.pools:
         manifest["pools"] = {
-            s: {"source": p.source, "offset": p.offset, "count": len(p.images)}
+            s: {"source": p.source, "labels": p.labels_source, "offset": p.offset,
+                "count": len(p.images)}
             for s, p in ds.pools.items()
         }
     return manifest
@@ -359,8 +376,10 @@ def load_dataset(path, pools: dict = None) -> Dataset:
     if spec.mode == "image" and pools is None:
         pools = {}
         for split, info in manifest["pools"].items():
-            labels_path = _labels_path_for(info["source"])
-            pools[split] = build_pool(info["source"], labels_path, split,
+            if "labels" not in info:
+                raise ValueError(f"manifest pool entry for {split!r} lacks the 'labels' key "
+                                 f"naming its labels file; regenerate the dataset")
+            pools[split] = build_pool(info["source"], info["labels"], split,
                                       offset=info["offset"], count=info["count"])
 
     splits = {}
@@ -383,15 +402,8 @@ def load_dataset(path, pools: dict = None) -> Dataset:
         splits[split] = bags
 
     ds = Dataset(spec, task, splits, pools=pools, manifest=manifest)
+    check_split_purity(ds)
     return ds
-
-
-def _labels_path_for(images_path: str) -> str:
-    # MNIST distribution convention: ...-images-idx3-ubyte / ...-labels-idx1-ubyte
-    guess = images_path.replace("images-idx3", "labels-idx1").replace("images", "labels")
-    if guess == images_path:
-        raise ValueError(f"cannot derive labels path from {images_path!r}; pass pools explicitly")
-    return guess
 
 
 def data_root() -> str:
@@ -421,6 +433,18 @@ def group_by_size(bags) -> dict:
         labels = np.array([bags[i].label for i in idxs], dtype=np.float64)
         out[n] = (idx_arr, classes, img_idx, labels)
     return out
+
+
+def permute_instances(rng, classes: np.ndarray, img_idx: np.ndarray, noise: np.ndarray = None):
+    """Shuffle the instance order of every bag in a [B, n] block with one
+    `rng.permuted` draw; image indices and [B, n, 10] noise move along."""
+    order = np.broadcast_to(np.arange(classes.shape[1]), classes.shape)
+    perms = rng.permuted(order.copy(), axis=1)
+    classes = np.take_along_axis(classes, perms, axis=1)
+    img_idx = np.take_along_axis(img_idx, perms, axis=1)
+    if noise is not None:
+        noise = np.take_along_axis(noise, perms[:, :, None], axis=1)
+    return classes, img_idx, noise
 
 
 _EYE = np.eye(oracle.NUM_CLASSES)

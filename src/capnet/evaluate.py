@@ -1,9 +1,11 @@
 """Measurement procedures over trained models.
 
-All split-level routines walk the bags batched by size in a fixed order, so
-repeated evaluation of the same model on the same split reproduces results
-bit for bit. Instance order is the stored order unless a routine explicitly
-permutes it (permutation sensitivity).
+All split-level routines walk the bags through `split_batches`, batched by
+size in a fixed order, so repeated evaluation of the same model on the same
+split reproduces results bit for bit. Instance order is the stored order
+unless a routine explicitly permutes it (permutation sensitivity). Every
+routine runs on `params.detached()`, so evaluation builds no autodiff graph
+and leaves the live parameters' gradients alone.
 """
 
 from __future__ import annotations
@@ -17,34 +19,45 @@ from . import data, models, oracle
 EVAL_BATCH = 1000
 
 
-def _split_groups(ds: data.Dataset, split: str):
+def split_batches(ds: data.Dataset, split: str, rng=None):
+    """Yield (rows, classes, feats, labels) for each evaluation batch.
+
+    Bags are grouped by size, smallest first, and cut into batches of
+    EVAL_BATCH in stored order; `rows` are the bags' positions in the split.
+    With an `rng`, each size group's instance orders are reshuffled first,
+    one `data.permute_instances` draw per group.
+    """
     bags = ds.splits[split]
     if not bags:
         raise ValueError(f"split {split!r} is empty")
-    return bags, data.group_by_size(bags), data.split_noise(ds, split), \
-        (ds.pools[split] if ds.pools else None)
+    noise = data.split_noise(ds, split)
+    pool = ds.pools[split] if ds.pools else None
+    for n, (idx, classes, img_idx, labels) in data.group_by_size(bags).items():
+        gnoise = noise[idx][:, :n, :] if noise is not None else None
+        if rng is not None:
+            classes, img_idx, gnoise = data.permute_instances(rng, classes, img_idx, gnoise)
+        for s in range(0, len(idx), EVAL_BATCH):
+            sl = slice(s, s + EVAL_BATCH)
+            feats = data.position_features(classes[sl], img_idx[sl], ds.spec.mode, pool,
+                                           gnoise[sl] if gnoise is not None else None)
+            yield idx[sl], classes[sl], feats, labels[sl]
 
 
 def split_mse_and_penalty(params, ds: data.Dataset, split: str,
                           reg_lambda: float = 0.0, reg_threshold: float = 1.0):
     """Mean squared error and mean intermediate penalty over one split."""
-    bags, groups, noise, pool = _split_groups(ds, split)
+    params = params.detached()
     sq_sum = 0.0
     pen_sum = 0.0
-    for n, (idx, classes, img_idx, labels) in groups.items():
-        gnoise = noise[idx][:, :n, :] if noise is not None else None
-        for s in range(0, len(idx), EVAL_BATCH):
-            sl = slice(s, s + EVAL_BATCH)
-            feats = data.position_features(classes[sl], img_idx[sl], ds.spec.mode,
-                                           pool, gnoise[sl] if gnoise is not None else None)
-            out = models.batch_forward(params, feats)
-            err = out.prediction.data - labels[sl]
-            sq_sum += float(err @ err)
-            if reg_lambda > 0 and out.intermediates:
-                for v in out.intermediates:
-                    over = np.maximum(0.0, v.data - reg_threshold)
-                    pen_sum += float(over @ over)
-    count = len(bags)
+    for _, _, feats, labels in split_batches(ds, split):
+        out = models.batch_forward(params, feats)
+        err = out.prediction.data - labels
+        sq_sum += float(err @ err)
+        if reg_lambda > 0 and out.intermediates:
+            for v in out.intermediates:
+                over = np.maximum(0.0, v.data - reg_threshold)
+                pen_sum += float(over @ over)
+    count = len(ds.splits[split])
     return sq_sum / count, pen_sum / count
 
 
@@ -56,16 +69,10 @@ def evaluate_mse(params, ds: data.Dataset, split: str) -> float:
 
 def split_predictions(params, ds: data.Dataset, split: str) -> np.ndarray:
     """Model predictions aligned with the split's bag order."""
-    bags, groups, noise, pool = _split_groups(ds, split)
-    preds = np.empty(len(bags))
-    for n, (idx, classes, img_idx, _) in groups.items():
-        gnoise = noise[idx][:, :n, :] if noise is not None else None
-        for s in range(0, len(idx), EVAL_BATCH):
-            sl = slice(s, s + EVAL_BATCH)
-            feats = data.position_features(classes[sl], img_idx[sl], ds.spec.mode,
-                                           pool, gnoise[sl] if gnoise is not None else None)
-            out = models.batch_forward(params, feats)
-            preds[idx[sl]] = out.prediction.data
+    params = params.detached()
+    preds = np.empty(len(ds.splits[split]))
+    for rows, _, feats, _ in split_batches(ds, split):
+        preds[rows] = models.batch_forward(params, feats).prediction.data
     return preds
 
 
@@ -104,28 +111,30 @@ def _report_from(entries: list, kind: str) -> IntermediateReport:
     return IntermediateReport(entries=entries, mae=mae, kind=kind)
 
 
+def _step_report(params, ds: data.Dataset, split: str, kind: str, step_values):
+    """Score per-step values against the oracle's exact decomposition of
+    each label in stored instance order; `step_values(params, feats)` gives
+    a batch's [B, n] values."""
+    params = params.detached()
+    entries = [None] * len(ds.splits[split])
+    for rows, classes, feats, _ in split_batches(ds, split):
+        predicted = step_values(params, feats)
+        for row, bag_i in enumerate(rows):
+            cls = [int(c) for c in classes[row]]
+            expected = oracle.decompose(ds.task, cls)
+            entries[bag_i] = IntermediateEntry(cls, [float(v) for v in expected],
+                                               [float(v) for v in predicted[row]])
+    return _report_from(entries, kind)
+
+
 def intermediate_mae(params, ds: data.Dataset, split: str) -> IntermediateReport:
     """Compare a capacity model's per-instance outputs against the exact
     sequential decomposition of the label, in stored instance order."""
     if not params.spec.capacity:
         raise ValueError("intermediate_mae needs a capacity model; "
                          "use pseudo_intermediates for baselines")
-    bags, groups, noise, pool = _split_groups(ds, split)
-    entries = [None] * len(bags)
-    for n, (idx, classes, img_idx, _) in groups.items():
-        gnoise = noise[idx][:, :n, :] if noise is not None else None
-        for s in range(0, len(idx), EVAL_BATCH):
-            sl = slice(s, s + EVAL_BATCH)
-            feats = data.position_features(classes[sl], img_idx[sl], ds.spec.mode,
-                                           pool, gnoise[sl] if gnoise is not None else None)
-            out = models.batch_forward(params, feats)
-            nu_hat = np.stack([v.data for v in out.intermediates], axis=1)
-            for row, bag_i in enumerate(idx[sl]):
-                cls = [int(c) for c in classes[sl][row]]
-                expected = oracle.decompose(ds.task, cls)
-                entries[bag_i] = IntermediateEntry(cls, [float(v) for v in expected],
-                                                   [float(v) for v in nu_hat[row]])
-    return _report_from(entries, "capacity")
+    return _step_report(params, ds, split, "capacity", lambda p, feats: np.stack(
+        [v.data for v in models.batch_forward(p, feats).intermediates], axis=1))
 
 
 def pseudo_intermediates(params, bag, task: oracle.TaskSpec = None,
@@ -141,7 +150,7 @@ def pseudo_intermediates(params, bag, task: oracle.TaskSpec = None,
     feats = models._single(bag)
     if not feats:
         raise ValueError("pseudo_intermediates rejects empty bags")
-    prefix_preds = _prefix_predictions(params, feats)[:, 0]
+    prefix_preds = _prefix_predictions(params.detached(), feats)[:, 0]
     nu = [float(prefix_preds[0])]
     for i in range(1, len(feats)):
         nu.append(float(prefix_preds[i] - prefix_preds[i - 1]))
@@ -166,22 +175,8 @@ def pseudo_report(params, ds: data.Dataset, split: str) -> IntermediateReport:
     """Split-level pseudo-intermediate report with MAE against the oracle."""
     if params.spec.capacity:
         raise ValueError("pseudo_report is for non-capacity models")
-    bags, groups, noise, pool = _split_groups(ds, split)
-    entries = [None] * len(bags)
-    for n, (idx, classes, img_idx, _) in groups.items():
-        gnoise = noise[idx][:, :n, :] if noise is not None else None
-        for s in range(0, len(idx), EVAL_BATCH):
-            sl = slice(s, s + EVAL_BATCH)
-            feats = data.position_features(classes[sl], img_idx[sl], ds.spec.mode,
-                                           pool, gnoise[sl] if gnoise is not None else None)
-            prefix = _prefix_predictions(params, feats)
-            nu = np.diff(prefix, axis=0, prepend=0.0)
-            for row, bag_i in enumerate(idx[sl]):
-                cls = [int(c) for c in classes[sl][row]]
-                expected = oracle.decompose(ds.task, cls)
-                entries[bag_i] = IntermediateEntry(cls, [float(v) for v in expected],
-                                                   [float(v) for v in nu[:, row]])
-    return _report_from(entries, "pseudo")
+    return _step_report(params, ds, split, "pseudo", lambda p, feats: np.diff(
+        _prefix_predictions(p, feats), axis=0, prepend=0.0).T)
 
 
 def write_intermediate_jsonl(path, report: IntermediateReport):
@@ -200,26 +195,15 @@ def permutation_sensitivity(params, ds: data.Dataset, split: str,
     """Re-evaluate the split MSE under k fresh instance orderings per bag."""
     if k < 2:
         raise ValueError("permutation sensitivity needs k >= 2 passes")
-    bags, groups, noise, pool = _split_groups(ds, split)
+    params = params.detached()
     mses = []
     for pass_idx in range(k):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 13, pass_idx)))
         sq_sum = 0.0
-        for n, (idx, classes, img_idx, labels) in groups.items():
-            gnoise = noise[idx][:, :n, :] if noise is not None else None
-            perms = rng.permuted(np.broadcast_to(np.arange(n), classes.shape).copy(), axis=1)
-            classes_p = np.take_along_axis(classes, perms, axis=1)
-            img_p = np.take_along_axis(img_idx, perms, axis=1)
-            noise_p = (np.take_along_axis(gnoise, perms[:, :, None], axis=1)
-                       if gnoise is not None else None)
-            for s in range(0, len(idx), EVAL_BATCH):
-                sl = slice(s, s + EVAL_BATCH)
-                feats = data.position_features(classes_p[sl], img_p[sl], ds.spec.mode,
-                                               pool, noise_p[sl] if noise_p is not None else None)
-                out = models.batch_forward(params, feats)
-                err = out.prediction.data - labels[sl]
-                sq_sum += float(err @ err)
-        mses.append(sq_sum / len(bags))
+        for _, _, feats, labels in split_batches(ds, split, rng):
+            err = models.batch_forward(params, feats).prediction.data - labels
+            sq_sum += float(err @ err)
+        mses.append(sq_sum / len(ds.splits[split]))
     arr = np.array(mses)
     spread = float(arr.max() - arr.min())
     return {

@@ -246,9 +246,9 @@ def batch_forward(params: ad.ParamStore, feats: list) -> BatchOutput:
 
 
 def decode_state(params: ad.ParamStore, h: np.ndarray) -> np.ndarray:
-    """Apply the decoder head to a detached [batch, d] state."""
-    spec = params.spec
-    out = _mlp(params, "dec", spec.dec_layers, ad.Tensor(h))
+    """Apply the decoder head to a [batch, d] state; builds no graph."""
+    params = params.detached()
+    out = _mlp(params, "dec", params.spec.dec_layers, ad.Tensor(h))
     return out.data[:, 0]
 
 

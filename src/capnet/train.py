@@ -122,12 +122,7 @@ def _epoch_batches(groups: dict, noise: np.ndarray, config: RunConfig, epoch: in
         labels_e = labels[order]
         noise_e = noise[idx[order]][:, :n, :] if noise is not None else None
         if config.shuffle_instances_per_epoch and n > 1:
-            perms = rng.permuted(
-                np.broadcast_to(np.arange(n), classes_e.shape).copy(), axis=1)
-            classes_e = np.take_along_axis(classes_e, perms, axis=1)
-            img_e = np.take_along_axis(img_e, perms, axis=1)
-            if noise_e is not None:
-                noise_e = np.take_along_axis(noise_e, perms[:, :, None], axis=1)
+            classes_e, img_e, noise_e = data.permute_instances(rng, classes_e, img_e, noise_e)
         for s in range(0, len(idx), config.batch_size):
             sl = slice(s, s + config.batch_size)
             batches.append((classes_e[sl], img_e[sl], labels_e[sl],

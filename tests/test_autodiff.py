@@ -169,6 +169,26 @@ def test_param_store_paths_and_freeze():
         store.add("c/z", np.zeros(1))
 
 
+def test_detached_view_shares_arrays_and_records_no_graph():
+    store = ad.ParamStore(seed=0)
+    w = store.add("w", np.array([[1.0, -2.0], [0.5, 3.0]]))
+    store.freeze()
+    view = store.detached()
+    assert view is not store and view.paths() == store.paths()
+    assert view["w"].data is w.data and not view["w"].requires_grad
+    assert view.detached() is view
+    with pytest.raises(RuntimeError):
+        view.add("c", np.zeros(1))
+    y = ad.reduce_sum(ad.tanh(ad.Tensor(np.ones((3, 2))) @ view["w"]))
+    assert not y.requires_grad and y._parents == () and y._backprop is None
+    # an optimizer step on the live store shows through the view
+    live = ad.reduce_sum(ad.Tensor(np.ones((1, 2))) @ w)
+    live.backward()
+    ad.Adam(store, lr=0.1).step()
+    assert np.array_equal(view["w"].data, w.data)
+    assert view["w"].grad is None
+
+
 def test_state_dict_round_trip_and_mismatches():
     store = ad.ParamStore(seed=0)
     t = store.add("w", np.arange(6.0).reshape(2, 3))

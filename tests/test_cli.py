@@ -4,9 +4,11 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from capnet import autodiff, cli, data, models, train
+from test_data import make_idx_images, make_idx_labels
 
 
 def write_json(path, obj):
@@ -66,6 +68,40 @@ def test_generate_rejects_bad_config(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 2
     cfg2 = write_json(tmp_path / "extra.json", {"task": "US", "bogus_key": 1})
     assert cli.main(["generate", "--config", cfg2, "--out", str(tmp_path / "o")]) == 2
+
+
+def image_config(tmp_path, windows, pool_dir="images"):
+    """Dataset config over one 60-image IDX pair; windows maps split -> (offset, count)."""
+    root = tmp_path / pool_dir
+    root.mkdir()
+    ipath, lpath = root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte"
+    pixels = np.random.default_rng(0).integers(0, 256, size=(60, 2, 2))
+    ipath.write_bytes(make_idx_images(pixels))
+    lpath.write_bytes(make_idx_labels(np.arange(60) % 10))
+    pools = {s: {"images": str(ipath), "labels": str(lpath), "offset": o, "count": c}
+             for s, (o, c) in windows.items()}
+    return write_json(tmp_path / "image.json", {
+        "task": "US", "mode": "image", "set_size": 3, "counts": [30, 10, 10], "seed": 1,
+        "pools": pools})
+
+
+def test_generate_image_pools_under_images_dir_round_trip(tmp_path):
+    cfg = image_config(tmp_path, {"train": (0, 30), "val": (30, 15), "test": (45, 15)})
+    out = str(tmp_path / "ds")
+    assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
+    ds = data.load_dataset(out)
+    assert ds.pools["val"].offset == 30 and len(ds.pools["val"].images) == 15
+    assert ds.pools["val"].labels_source.endswith("train-labels-idx1-ubyte")
+    assert [b.img_idx for b in ds.splits["test"]] == \
+        [b.img_idx for b in data.generate_dataset(ds.spec, pools=ds.pools).splits["test"]]
+
+
+def test_generate_rejects_overlapping_pool_windows(tmp_path, capsys):
+    cfg = image_config(tmp_path, {"train": (0, 30), "val": (10, 20), "test": (45, 15)})
+    out = str(tmp_path / "ds")
+    assert cli.main(["generate", "--config", cfg, "--out", out]) == 2
+    assert "used by both train and val" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 # -- train ------------------------------------------------------------------

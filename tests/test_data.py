@@ -82,6 +82,16 @@ def test_dataset_spec_validation():
         data.DatasetSpec(task="US", mode="image", noise=0.1)
 
 
+def test_mult_set_size_limited_to_exact_float_labels():
+    # 9^16 < 2^53 < 9^17: larger Mult labels would not survive as float64 targets
+    data.DatasetSpec(task="Mult", set_size=16)
+    data.DatasetSpec(task="US", set_size=17)
+    with pytest.raises(ValueError, match="2\\^53"):
+        data.DatasetSpec(task="Mult", set_size=17)
+    with pytest.raises(ValueError, match="2\\^53"):
+        data.DatasetSpec(task="Mult", set_size=(3, 17))
+
+
 def test_generation_is_deterministic_and_labels_check_out():
     spec = data.DatasetSpec(task="WTri", set_size=4, counts=(300, 50, 50), seed=5)
     a = data.generate_dataset(spec)
@@ -220,14 +230,37 @@ def test_image_mode_draws_from_matching_class(tmp_path):
 
 
 def test_split_purity_detects_shared_images():
-    pools = {s: synth_pool(s, seed=0) for s in data.SPLITS}  # same source id
-    for p in pools.values():
-        p.source = "same-file"
+    pools = {s: synth_pool(s, seed=0) for s in data.SPLITS}
+    for s, p in pools.items():
+        p.source = f"file-{s}"
     spec = data.DatasetSpec(task="US", mode="image", set_size=3,
                             counts=(30, 10, 10), seed=5)
     ds = data.generate_dataset(spec, pools=pools)
+    for p in pools.values():
+        p.source = "same-file"  # now every split draws from one window of one file
     with pytest.raises(ValueError, match="both"):
         data.check_split_purity(ds)
+    with pytest.raises(ValueError, match="both"):
+        data.generate_dataset(spec, pools=pools)
+
+
+def test_split_purity_agrees_with_per_image_loop():
+    spec = data.DatasetSpec(task="US", mode="image", set_size=3, counts=(2, 2, 2))
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        pools = {s: synth_pool(s, count=20, offset=int(rng.integers(0, 40))) for s in data.SPLITS}
+        splits = {s: [data.Bag([0, 0, 0], 0, [int(i) for i in rng.integers(-1, 20, size=3)])
+                      for _ in range(2)] for s in data.SPLITS}
+        ds = data.Dataset(spec, oracle.TaskSpec("US"), splits, pools=pools)
+        used = {s: {pools[s].offset + i for b in bags for i in b.img_idx if i >= 0}
+                for s, bags in splits.items()}
+        shared = used["train"] & used["val"] or used["train"] & used["test"] \
+            or used["val"] & used["test"]
+        if shared:
+            with pytest.raises(ValueError, match="both"):
+                data.check_split_purity(ds)
+        else:
+            data.check_split_purity(ds)
 
 
 def test_partition_pool_keeps_global_offsets(tmp_path):
@@ -245,6 +278,27 @@ def test_partition_pool_keeps_global_offsets(tmp_path):
                             counts=(30, 10, 10), seed=1)
     ds = data.generate_dataset(spec, pools=pools)
     data.check_split_purity(ds)
+
+
+def test_image_manifest_records_labels_file(tmp_path):
+    imgs = (np.arange(40, dtype=np.uint8) % 200).reshape(40, 1, 1)
+    labels = np.concatenate([np.arange(10)] * 4).astype(np.uint8)
+    ipath, lpath = tmp_path / "imgs", tmp_path / "labs"
+    ipath.write_bytes(make_idx_images(imgs))
+    lpath.write_bytes(make_idx_labels(labels))
+    pools = data.partition_pool(ipath, lpath, {"train": 20, "val": 10, "test": 10})
+    spec = data.DatasetSpec(task="UC", mode="image", set_size=2, counts=(30, 10, 10), seed=1)
+    manifest = data.save_dataset(data.generate_dataset(spec, pools=pools), tmp_path / "ds")
+    assert manifest["pools"]["val"] == {"source": str(ipath), "labels": str(lpath),
+                                        "offset": 20, "count": 10}
+    assert data.load_dataset(tmp_path / "ds").pools["val"].labels_source == str(lpath)
+
+    path = tmp_path / "ds" / "manifest.json"
+    stale = json.loads(path.read_text())
+    del stale["pools"]["train"]["labels"]
+    path.write_text(json.dumps(stale))
+    with pytest.raises(ValueError, match="'labels'"):
+        data.load_dataset(tmp_path / "ds")
 
 
 def test_group_by_size_and_position_features():

@@ -5,6 +5,8 @@ and the intermediate-value comparisons against stubbed forwards whose outputs
 are known by construction.
 """
 
+import hashlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,6 +110,95 @@ def test_empty_split_rejected():
     ds.splits["val"] = []
     with pytest.raises(ValueError, match="empty"):
         evaluate.evaluate_mse(small("deepset"), ds, "val")
+
+
+# -- forward-only evaluation -------------------------------------------------
+
+def record_forwards(monkeypatch):
+    """Wrap models.batch_forward; returns the list its outputs are appended to."""
+    seen = []
+    real = models.batch_forward
+
+    def recording(params, feats):
+        out = real(params, feats)
+        seen.append(out)
+        return out
+    monkeypatch.setattr(models, "batch_forward", recording)
+    return seen
+
+
+@pytest.mark.parametrize("family,capacity", [("gru", True), ("lstm", False), ("attention", False)])
+def test_every_eval_routine_is_forward_only(us_ds, monkeypatch, family, capacity):
+    params = small(family, capacity=capacity)
+    seen = record_forwards(monkeypatch)
+    routines = [
+        lambda: evaluate.evaluate_mse(params, us_ds, "val"),
+        lambda: evaluate.split_mse_and_penalty(params, us_ds, "val", 0.5, 0.1),
+        lambda: evaluate.split_predictions(params, us_ds, "val"),
+        lambda: evaluate.permutation_sensitivity(params, us_ds, "val", k=2),
+        lambda: evaluate.rounded_accuracy(params, us_ds, "val"),
+    ]
+    if capacity:
+        routines.append(lambda: evaluate.intermediate_mae(params, us_ds, "val"))
+    else:
+        routines.append(lambda: evaluate.pseudo_report(params, us_ds, "val"))
+        routines.append(lambda: evaluate.pseudo_intermediates(params, one_hots([3, 1, 4])))
+    for run in routines:
+        seen.clear()
+        run()
+        assert seen
+        for out in seen:
+            assert not out.prediction.requires_grad and out.prediction._parents == ()
+            assert not any(v.requires_grad for v in out.intermediates)
+        assert all(t.grad is None and t.requires_grad for _, t in params.items())
+
+
+def test_train_run_val_eval_is_forward_only(monkeypatch):
+    ds = data.generate_dataset(
+        data.DatasetSpec(task="US", set_size=3, counts=(200, 40, 40), seed=2))
+    real_eval = evaluate.split_mse_and_penalty
+    seen = record_forwards(monkeypatch)
+    tracked = {"train": [], "eval": []}
+
+    def val_eval(params, *args, **kwargs):
+        grads = {p: t.grad for p, t in params.items()}
+        tracked["train"] += [out.prediction.requires_grad for out in seen]
+        seen.clear()
+        result = real_eval(params, *args, **kwargs)
+        tracked["eval"] += [out.prediction.requires_grad for out in seen]
+        seen.clear()
+        assert all(t.grad is grads[p] for p, t in params.items())
+        return result
+    monkeypatch.setattr(evaluate, "split_mse_and_penalty", val_eval)
+    model = models.ModelSpec("gru", capacity=True, embed_dim=8, hidden_dim=6,
+                             enc_layers=2, dec_layers=2)
+    cfg = train.RunConfig(dataset="mem", model=model, batch_size=50, epochs=2, seed=0)
+    train.train_run(cfg, dataset=ds)
+    # training keeps its graph; the per-epoch val eval builds none
+    assert len(tracked["train"]) == 8 and all(tracked["train"])
+    assert len(tracked["eval"]) == 2 and not any(tracked["eval"])
+    # with no epochs, the final val eval is the only pass and leaves no gradient
+    res = train.train_run(replace(cfg, epochs=0), dataset=ds)
+    assert all(t.grad is None for _, t in res.params.items())
+
+
+def test_permutation_sensitivity_orders_are_pinned(monkeypatch):
+    """The instance orders of the k passes, as bytes of the features fed to
+    the model, are fixed by (seed, pass); this digest pins them."""
+    ds = data.generate_dataset(data.DatasetSpec(
+        task="WTri", set_size=(2, 5), counts=(120, 30, 30), seed=11, noise=0.1))
+    digest = hashlib.sha256()
+
+    def fake(params, feats):
+        for x in feats:
+            digest.update(np.ascontiguousarray(x).tobytes())
+        return SimpleNamespace(prediction=SimpleNamespace(data=np.zeros(len(feats[0]))),
+                               intermediates=[])
+    monkeypatch.setattr(models, "batch_forward", fake)
+    res = evaluate.permutation_sensitivity(small("gru"), ds, "val", k=3, seed=4)
+    assert res["mse"] == [440.0, 440.0, 440.0]
+    assert digest.hexdigest() == \
+        "4876dc887ee50e5945b7cafbafe5013b0871aae20b43a36bf965a808f6031bfc"
 
 
 # -- intermediate values ----------------------------------------------------

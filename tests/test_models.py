@@ -291,6 +291,27 @@ def test_batched_forward_matches_per_bag():
                 assert batched.intermediates[p].data[i] == pytest.approx(v, rel=1e-9)
 
 
+@pytest.mark.parametrize("family,capacity", [
+    ("deepset", False), ("attention", False), ("rnn", False), ("lstm", False),
+    ("gru", False), ("rnn", True), ("lstm", True), ("gru", True)])
+def test_detached_forward_equals_live_forward(family, capacity):
+    rng = np.random.default_rng(21)
+    params = init_model(small_spec(family, capacity=capacity), 3)
+    feats = [rng.normal(size=(7, 6)) for _ in range(5)]
+    live = models.batch_forward(params, feats)
+    view = models.batch_forward(params.detached(), feats)
+    assert live.prediction.requires_grad and not view.prediction.requires_grad
+    assert view.prediction._parents == ()
+    assert np.array_equal(live.prediction.data, view.prediction.data)
+    assert len(live.intermediates) == len(view.intermediates) == (5 if capacity else 0)
+    for a, b in zip(live.intermediates, view.intermediates):
+        assert np.array_equal(a.data, b.data)
+    for a, b in zip(live.latents, view.latents, strict=True):
+        assert np.array_equal(a, b)
+    if family == "attention":
+        assert np.array_equal(live.weights, view.weights)
+
+
 def grad_check_model(spec, seed, rng, tol=1e-5):
     params = init_model(spec, seed)
     bag = rand_bag(rng, 3, dim=spec.input_dim)
