@@ -15,6 +15,8 @@ import struct
 
 import numpy as np
 
+from . import fileio
+
 
 def _as_array(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
@@ -421,17 +423,16 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, state: dict[str, np.ndarray]):
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        for name in sorted(state):
-            arr = np.ascontiguousarray(state[name], dtype=np.float64)
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype("<f8").tobytes())
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
+    for name in sorted(state):
+        arr = np.ascontiguousarray(state[name], dtype=np.float64)
+        encoded = name.encode("utf-8")
+        parts.append(struct.pack("<I", len(encoded)))
+        parts.append(encoded)
+        parts.append(struct.pack("<I", arr.ndim))
+        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        parts.append(arr.astype("<f8").tobytes())
+    fileio.write_files({path: b"".join(parts)})
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

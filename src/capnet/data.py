@@ -17,11 +17,12 @@ import itertools
 import json
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
+from . import fileio, oracle
 
 FORMAT_VERSION = 1
 ORACLE_VERSION = 1
@@ -37,12 +38,9 @@ _EXACT_LABEL_MAX = 1 << 53
 
 # -- IDX files -------------------------------------------------------------
 
-def parse_idx(data: bytes) -> np.ndarray:
-    """Parse an IDX byte payload.
-
-    Returns float images scaled to [0, 1] and flattened to N x (rows*cols)
-    for the rank-3 image magic, or an int vector for the rank-1 label magic.
-    """
+def _idx_payload(data: bytes) -> tuple:
+    """Validate an IDX byte payload; return its magic and its uint8 values,
+    a view of `data` shaped N x (rows*cols) for images and N for labels."""
     if len(data) < 4:
         raise ValueError(f"IDX header truncated at byte {len(data)}: need 4-byte magic")
     (magic,) = struct.unpack(">I", data[:4])
@@ -66,9 +64,25 @@ def parse_idx(data: bytes) -> np.ndarray:
             f"IDX payload ends at byte {len(data)}, header at byte 4 promises {header + count}"
         )
     raw = np.frombuffer(data, dtype=np.uint8, offset=header)
+    if magic == IDX_MAGIC_IMAGES:
+        raw = raw.reshape(dims[0], dims[1] * dims[2])
+    return magic, raw
+
+
+def _scale(raw: np.ndarray) -> np.ndarray:
+    return raw.astype(np.float64) / 255.0
+
+
+def parse_idx(data: bytes) -> np.ndarray:
+    """Parse an IDX byte payload.
+
+    Returns float images scaled to [0, 1] and flattened to N x (rows*cols)
+    for the rank-3 image magic, or an int vector for the rank-1 label magic.
+    """
+    magic, raw = _idx_payload(data)
     if magic == IDX_MAGIC_LABELS:
         return raw.astype(np.int64)
-    return (raw.astype(np.float64) / 255.0).reshape(dims[0], dims[1] * dims[2])
+    return _scale(raw)
 
 
 def load_idx(path) -> np.ndarray:
@@ -76,40 +90,68 @@ def load_idx(path) -> np.ndarray:
         return parse_idx(f.read())
 
 
-@dataclass
+def _read_idx(path, magic: int) -> np.ndarray:
+    with open(path, "rb") as f:
+        found, raw = _idx_payload(f.read())
+    if found != magic:
+        raise ValueError(f"{path}: IDX magic 0x{found:08x}, expected 0x{magic:08x}")
+    return raw
+
+
+# Serialises the first scaling of every pool: `sweep --jobs N` threads share
+# a dataset, and a pool must be scaled once, not once per thread.
+_SCALE_LOCK = threading.Lock()
+
+
 class ImagePool:
     """Images of one split; `offset` keeps indices global when one IDX file
-    is partitioned across splits, so leakage checks stay meaningful."""
+    is partitioned across splits, so leakage checks stay meaningful.
 
-    images: np.ndarray
-    labels: np.ndarray
-    split: str
-    source: str = ""
-    offset: int = 0
-    labels_source: str = ""
+    `images` is float pixels in [0, 1] or raw uint8 IDX rows. `pixels` is
+    the buffer the pool holds. Raw rows stay uint8 until `images` is first
+    read; that read scales them to float64 exactly as `parse_idx` does and
+    keeps the result in `pixels`, so a pool no model reads costs one byte
+    per pixel.
+    """
 
-    def __post_init__(self):
-        if len(self.images) != len(self.labels):
-            raise ValueError(f"{len(self.images)} images but {len(self.labels)} labels")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+    def __init__(self, images: np.ndarray, labels: np.ndarray, split: str,
+                 source: str = "", offset: int = 0, labels_source: str = ""):
+        if len(images) != len(labels):
+            raise ValueError(f"{len(images)} images but {len(labels)} labels")
+        if images.dtype != np.uint8 and images.size and (images.min() < 0.0 or images.max() > 1.0):
             raise ValueError("pixel values outside [0, 1]")
-        by_class = {}
-        for c in range(oracle.NUM_CLASSES):
-            by_class[c] = np.flatnonzero(self.labels == c)
-        self._by_class = by_class
+        self.pixels = images
+        self.labels = labels
+        self.split = split
+        self.source = source
+        self.offset = offset
+        self.labels_source = labels_source
+        self._by_class = {c: np.flatnonzero(labels == c) for c in range(oracle.NUM_CLASSES)}
+
+    @property
+    def images(self) -> np.ndarray:
+        """Float pixels in [0, 1], one row per image."""
+        if self.pixels.dtype == np.uint8:
+            with _SCALE_LOCK:
+                if self.pixels.dtype == np.uint8:
+                    self.pixels = _scale(self.pixels)
+        return self.pixels
 
     def indices_for_class(self, c: int) -> np.ndarray:
         return self._by_class[int(c)]
 
 
 def build_pool(images_path, labels_path, split, offset=0, count=None) -> ImagePool:
-    images = load_idx(images_path)
-    labels = load_idx(labels_path)
+    """Pool of the `count` images from `offset` on in an IDX pair. It keeps a
+    copy of that window's raw bytes, not the whole file, and scales them on
+    first use."""
+    images = _read_idx(images_path, IDX_MAGIC_IMAGES)
+    labels = _read_idx(labels_path, IDX_MAGIC_LABELS)
     if count is None:
         count = len(images) - offset
     sel = slice(offset, offset + count)
-    return ImagePool(images[sel], labels[sel], split, source=str(images_path), offset=offset,
-                     labels_source=str(labels_path))
+    return ImagePool(images[sel].copy(), labels[sel].astype(np.int64), split,
+                     source=str(images_path), offset=offset, labels_source=str(labels_path))
 
 
 def partition_pool(images_path, labels_path, counts: dict) -> dict:
@@ -191,7 +233,7 @@ class Dataset:
     def feature_dim(self) -> int:
         if self.spec.mode == "symbolic":
             return oracle.NUM_CLASSES
-        return next(iter(self.pools.values())).images.shape[1]
+        return next(iter(self.pools.values())).pixels.shape[1]
 
 
 def featurize(class_id: int, mode: str, image=None, noise: float = 0.0, rng=None) -> np.ndarray:
@@ -323,7 +365,7 @@ def _build_manifest(ds: Dataset) -> dict:
     if ds.pools:
         manifest["pools"] = {
             s: {"source": p.source, "labels": p.labels_source, "offset": p.offset,
-                "count": len(p.images)}
+                "count": len(p.labels)}
             for s, p in ds.pools.items()
         }
     return manifest
@@ -335,18 +377,22 @@ def _bag_line(bag: Bag) -> str:
 
 
 def save_dataset(ds: Dataset, out_dir) -> dict:
-    """Write {train,val,test}.jsonl plus manifest.json; returns the manifest."""
+    """Write {train,val,test}.jsonl plus manifest.json; returns the manifest.
+
+    All four files are written in full before any is renamed into place,
+    and the manifest last, so a failed save leaves the previous dataset in
+    `out_dir` loadable."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = dict(ds.manifest or _build_manifest(ds))
     manifest["checksums"] = {}
+    payloads = {}
     for split in SPLITS:
         payload = "".join(_bag_line(bag) + "\n" for bag in ds.splits[split]).encode()
         manifest["checksums"][split] = hashlib.sha256(payload).hexdigest()
-        with open(os.path.join(out_dir, f"{split}.jsonl"), "wb") as f:
-            f.write(payload)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, sort_keys=True, indent=1)
-        f.write("\n")
+        payloads[os.path.join(out_dir, f"{split}.jsonl")] = payload
+    payloads[os.path.join(out_dir, "manifest.json")] = \
+        (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode()
+    fileio.write_files(payloads)
     ds.manifest = manifest
     return manifest
 

@@ -19,20 +19,23 @@ from . import data, models, oracle
 EVAL_BATCH = 1000
 
 
-def split_batches(ds: data.Dataset, split: str, rng=None):
+def split_batches(ds: data.Dataset, split: str, rng=None, groups: dict = None):
     """Yield (rows, classes, feats, labels) for each evaluation batch.
 
     Bags are grouped by size, smallest first, and cut into batches of
     EVAL_BATCH in stored order; `rows` are the bags' positions in the split.
     With an `rng`, each size group's instance orders are reshuffled first,
-    one `data.permute_instances` draw per group.
+    one `data.permute_instances` draw per group. A caller that walks the
+    split more than once passes its `data.group_by_size` as `groups`.
     """
     bags = ds.splits[split]
     if not bags:
         raise ValueError(f"split {split!r} is empty")
+    if groups is None:
+        groups = data.group_by_size(bags)
     noise = data.split_noise(ds, split)
     pool = ds.pools[split] if ds.pools else None
-    for n, (idx, classes, img_idx, labels) in data.group_by_size(bags).items():
+    for n, (idx, classes, img_idx, labels) in groups.items():
         gnoise = noise[idx][:, :n, :] if noise is not None else None
         if rng is not None:
             classes, img_idx, gnoise = data.permute_instances(rng, classes, img_idx, gnoise)
@@ -196,11 +199,12 @@ def permutation_sensitivity(params, ds: data.Dataset, split: str,
     if k < 2:
         raise ValueError("permutation sensitivity needs k >= 2 passes")
     params = params.detached()
+    groups = data.group_by_size(ds.splits[split])
     mses = []
     for pass_idx in range(k):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 13, pass_idx)))
         sq_sum = 0.0
-        for _, _, feats, labels in split_batches(ds, split, rng):
+        for _, _, feats, labels in split_batches(ds, split, rng, groups):
             err = models.batch_forward(params, feats).prediction.data - labels
             sq_sum += float(err @ err)
         mses.append(sq_sum / len(ds.splits[split]))

@@ -1,12 +1,14 @@
 """Autodiff engine: gradients against central finite differences, graph
 mechanics, the optimizer, and the checkpoint format."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from capnet import autodiff as ad
+from capnet import fileio, models
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -286,3 +288,29 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"CAPN" + struct.pack("<I", 99))
     with pytest.raises(ValueError, match="version"):
         ad.load_checkpoint(path)
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    """Digest of a checkpoint as written before saves went through a temp
+    file; the on-disk bytes must not change."""
+    spec = models.ModelSpec("gru", capacity=True, input_dim=10, embed_dim=8, hidden_dim=6,
+                            enc_layers=2, dec_layers=2)
+    path = tmp_path / "c.capn"
+    ad.save_checkpoint(path, models.init_model(spec, 0).state_dict())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "4bfe86268059bb6e6161d8ca49a84fba659254098f33947ded4e9a3011b257a5"
+
+
+def test_failed_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.capn"
+    ad.save_checkpoint(path, {"w": np.arange(5.0)})
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(fileio.os, "replace", refuse)
+    with pytest.raises(OSError, match="refused"):
+        ad.save_checkpoint(path, {"w": np.ones(7)})
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["model.capn"]
+    assert np.array_equal(ad.load_checkpoint(path)["w"], np.arange(5.0))

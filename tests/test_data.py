@@ -1,12 +1,17 @@
 """Dataset layer: IDX parsing, generation, persistence, batch assembly."""
 
+import hashlib
 import json
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from capnet import data, oracle
+from capnet import data, evaluate, fileio, models, oracle
 
 
 def make_idx_images(arrays) -> bytes:
@@ -48,6 +53,68 @@ def test_parse_idx_error_reporting():
     huge = struct.pack(">IIII", 0x803, 2**31, 2**31, 4)
     with pytest.raises(ValueError, match="overflow"):
         data.parse_idx(huge)
+
+
+def _truncations(payload: bytes):
+    return st.integers(0, len(payload) - 1).map(lambda n: payload[:n])
+
+
+_VALID_IDX = [make_idx_images(np.arange(2 * 3 * 2, dtype=np.uint8).reshape(2, 3, 2)),
+              make_idx_labels([3, 1, 4])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64),
+                 *[_truncations(p) for p in _VALID_IDX],
+                 *[st.binary(max_size=16).map(lambda tail, p=p: p[:8] + tail) for p in _VALID_IDX],
+                 st.binary(max_size=24).map(lambda tail: struct.pack(">I", 0x803) + tail)))
+def test_parse_idx_rejects_garbage_with_value_error(payload):
+    try:
+        out = data.parse_idx(payload)
+    except ValueError:
+        return
+    # the rare random payload that is well formed parses to its declared size
+    (magic,) = struct.unpack(">I", payload[:4])
+    assert out.size == len(payload) - (16 if magic == data.IDX_MAGIC_IMAGES else 8)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_build_pool_rejects_bad_files_with_value_error(tmp_path, draw):
+    images, labels = _VALID_IDX
+    ipath, lpath = tmp_path / "imgs", tmp_path / "labs"
+    ipath.write_bytes(images)
+    lpath.write_bytes(labels)
+    with pytest.raises(ValueError, match="magic"):  # images and labels swapped
+        data.build_pool(lpath, ipath, "train")
+    path, payload = draw.draw(st.sampled_from([(ipath, images), (lpath, labels)]))
+    path.write_bytes(draw.draw(_truncations(payload)))
+    with pytest.raises(ValueError):
+        data.build_pool(ipath, lpath, "train")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_pool_window_is_bit_identical_to_eager_parse(tmp_path, draw):
+    n = draw.draw(st.integers(1, 30))
+    rows, cols = draw.draw(st.integers(1, 4)), draw.draw(st.integers(1, 4))
+    pixels = np.frombuffer(draw.draw(st.binary(min_size=n * rows * cols, max_size=n * rows * cols)),
+                           dtype=np.uint8).reshape(n, rows, cols)
+    labels = np.array(draw.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+    offset = draw.draw(st.integers(0, n))
+    count = draw.draw(st.one_of(st.none(), st.integers(0, n - offset)))
+    ipath, lpath = tmp_path / "imgs", tmp_path / "labs"
+    ipath.write_bytes(make_idx_images(pixels))
+    lpath.write_bytes(make_idx_labels(labels))
+    pool = data.build_pool(ipath, lpath, "train", offset=offset, count=count)
+    stop = n if count is None else offset + count
+    want_images = data.parse_idx(ipath.read_bytes())[offset:stop]
+    want_labels = data.parse_idx(lpath.read_bytes())[offset:stop]
+    assert pool.images.dtype == want_images.dtype and pool.images.shape == want_images.shape
+    assert pool.images.tobytes() == want_images.tobytes()
+    assert pool.labels.dtype == want_labels.dtype and np.array_equal(pool.labels, want_labels)
 
 
 def synth_pool(split, count=60, dim=4, seed=0, offset=0):
@@ -161,6 +228,56 @@ def test_save_is_byte_identical_across_runs(tmp_path):
     data.save_dataset(data.generate_dataset(spec), tmp_path / "b")
     for name in ("train.jsonl", "val.jsonl", "test.jsonl", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_saved_bytes_are_pinned(tmp_path):
+    """Digest of the four files as written before saves went through temp
+    files; the on-disk bytes must not change."""
+    ds = data.generate_dataset(data.DatasetSpec(task="WTri", set_size=(2, 5), counts=(40, 10, 10),
+                                                seed=2))
+    data.save_dataset(ds, tmp_path)
+    digest = hashlib.sha256()
+    for name in ("train.jsonl", "val.jsonl", "test.jsonl", "manifest.json"):
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == \
+        "15456f08ae356c24700956f43e2705423cd7cc0f7a372ce532074ba25955f2de"
+
+
+def test_failed_save_keeps_previous_dataset(tmp_path, monkeypatch):
+    old = data.generate_dataset(data.DatasetSpec(task="US", set_size=3, counts=(20, 5, 5), seed=0))
+    data.save_dataset(old, tmp_path)
+    new = data.generate_dataset(data.DatasetSpec(task="US", set_size=4, counts=(30, 6, 6), seed=1))
+    real_open = open
+
+    class HalfWriter:
+        """Writes half of the payload, then fails like a full disk."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, payload):
+            self.f.write(payload[:len(payload) // 2])
+            raise OSError("no space left on device")
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        return HalfWriter(f) if str(path).endswith("manifest.json.tmp") else f
+
+    monkeypatch.setattr(fileio, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        data.save_dataset(new, tmp_path)
+    monkeypatch.undo()
+    assert not list(tmp_path.glob("*.tmp"))
+    loaded = data.load_dataset(tmp_path)
+    for split in data.SPLITS:
+        assert [(b.classes, b.label) for b in loaded.splits[split]] == \
+            [(b.classes, b.label) for b in old.splits[split]]
 
 
 def test_load_rejects_tampering_and_version_skew(tmp_path):
@@ -299,6 +416,79 @@ def test_image_manifest_records_labels_file(tmp_path):
     path.write_text(json.dumps(stale))
     with pytest.raises(ValueError, match="'labels'"):
         data.load_dataset(tmp_path / "ds")
+
+
+def image_pools(tmp_path, n=60, side=3):
+    """One IDX pair of n images carved into train/val/test windows."""
+    pixels = np.random.default_rng(1).integers(0, 256, size=(n, side, side))
+    ipath, lpath = tmp_path / "imgs", tmp_path / "labs"
+    ipath.write_bytes(make_idx_images(pixels))
+    lpath.write_bytes(make_idx_labels(np.arange(n) % 10))
+    return data.partition_pool(ipath, lpath, {"train": n // 2, "val": n // 4, "test": n // 4})
+
+
+def scaled(pools) -> dict:
+    return {s: p.pixels.dtype == np.float64 for s, p in pools.items()}
+
+
+def test_pool_holds_only_its_window_until_first_read(tmp_path):
+    pools = image_pools(tmp_path, n=60, side=3)
+    val = pools["val"]
+    # a uint8 copy of its 15 rows, not a view into the 60-image file
+    assert val.pixels.dtype == np.uint8 and val.pixels.shape == (15, 9)
+    assert val.pixels.base is None and val.pixels.nbytes == 15 * 9
+    images = val.images
+    assert val.pixels is images and val.images is images
+    assert images.tobytes() == data.parse_idx((tmp_path / "imgs").read_bytes())[30:45].tobytes()
+    assert scaled(pools) == {"train": False, "val": True, "test": False}
+
+
+def test_generate_load_and_eval_scale_only_what_they_read(tmp_path):
+    pools = image_pools(tmp_path)
+    spec = data.DatasetSpec(task="US", mode="image", set_size=3, counts=(20, 8, 8), seed=2)
+    ds = data.generate_dataset(spec, pools=pools)
+    data.save_dataset(ds, tmp_path / "ds")
+    assert not any(scaled(pools).values())
+
+    loaded = data.load_dataset(tmp_path / "ds")
+    assert loaded.feature_dim() == 9
+    assert not any(scaled(loaded.pools).values())
+    params = models.init_model(models.ModelSpec("gru", capacity=True, input_dim=9,
+                                                embed_dim=4, hidden_dim=4), 0)
+    evaluate.evaluate_mse(params, loaded, "val")
+    assert scaled(loaded.pools) == {"train": False, "val": True, "test": False}
+
+
+def test_concurrent_first_reads_scale_a_pool_once(tmp_path, monkeypatch):
+    pool = image_pools(tmp_path, n=400, side=8)["train"]
+    calls = []
+    real_scale = data._scale
+
+    def counting_scale(raw):
+        calls.append(1)
+        return real_scale(raw)
+
+    monkeypatch.setattr(data, "_scale", counting_scale)
+    results = []
+    start = threading.Barrier(8)
+
+    def read():
+        start.wait(timeout=10)
+        results.append(pool.images)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert len(results) == 8 and all(r is results[0] for r in results)
 
 
 def test_group_by_size_and_position_features():

@@ -201,6 +201,14 @@ def test_permutation_sensitivity_orders_are_pinned(monkeypatch):
         "4876dc887ee50e5945b7cafbafe5013b0871aae20b43a36bf965a808f6031bfc"
 
 
+def test_permutation_sensitivity_groups_the_split_once(us_ds, monkeypatch):
+    calls = []
+    real = data.group_by_size
+    monkeypatch.setattr(data, "group_by_size", lambda bags: calls.append(1) or real(bags))
+    evaluate.permutation_sensitivity(small("gru"), us_ds, "val", k=4)
+    assert len(calls) == 1
+
+
 # -- intermediate values ----------------------------------------------------
 
 def stub_forward(task, offset=0.0):
