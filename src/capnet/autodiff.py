@@ -422,7 +422,9 @@ CHECKPOINT_MAGIC = b"CAPN"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, state: dict[str, np.ndarray]):
+def save_checkpoint(path, state: dict[str, np.ndarray], sidecars: dict = None):
+    """Write `state` to `path`; `sidecars` ({path: bytes}) are files that
+    land with it, written in full before any of them is renamed into place."""
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     for name in sorted(state):
         arr = np.ascontiguousarray(state[name], dtype=np.float64)
@@ -432,7 +434,7 @@ def save_checkpoint(path, state: dict[str, np.ndarray]):
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.astype("<f8").tobytes())
-    fileio.write_files({path: b"".join(parts)})
+    fileio.write_files({path: b"".join(parts), **(sidecars or {})})
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
@@ -440,6 +442,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic {blob[:4]!r}")
+    if len(blob) < 8:
+        raise ValueError(f"truncated checkpoint at byte {len(blob)}")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")

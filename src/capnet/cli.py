@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import __version__, data, evaluate, models, train
+from . import __version__, data, evaluate, fileio, models, train
 
 
 class UsageError(ValueError):
@@ -99,9 +99,7 @@ def _write_experiment_manifest(out_dir, cfg: train.RunConfig, seeds, outputs):
         "dataset_manifest": ds_manifest,
         "outputs": sorted(outputs),
     }
-    with open(os.path.join(out_dir, "experiment.json"), "w") as f:
-        json.dump(manifest, f, sort_keys=True, indent=1)
-        f.write("\n")
+    fileio.write_files({os.path.join(out_dir, "experiment.json"): fileio.json_bytes(manifest)})
 
 
 def cmd_train(args) -> int:
@@ -173,10 +171,7 @@ def cmd_eval(args) -> int:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+    fileio.write_files({path: fileio.csv_bytes([header] + rows)})
 
 
 def _family_spec(label: str, base: dict) -> models.ModelSpec:
@@ -187,12 +182,6 @@ def _family_spec(label: str, base: dict) -> models.ModelSpec:
         return models.ModelSpec(family=family, capacity=capacity, **base)
     except ValueError as exc:
         raise UsageError(str(exc))
-
-
-def _sweep_cell(cell):
-    cfg, seeds, ds = cell["config"], cell["seeds"], cell["dataset"]
-    agg = train.multi_seed(cfg, seeds, dataset=ds)
-    return agg
 
 
 def cmd_sweep(args) -> int:
@@ -230,14 +219,16 @@ def cmd_sweep(args) -> int:
                 raise UsageError("reg_lambda > 0 requires capacity models in the sweep")
             cfg = train.RunConfig(dataset=config["dataset"], model=spec, **base_train)
             cells.append({"label": label.lower(), "size": size or len(full.splits["train"]),
-                          "config": cfg, "seeds": seeds, "dataset": ds})
+                          "config": cfg, "dataset": ds})
 
     jobs = max(1, args.jobs)
     if jobs == 1:
-        results = [_sweep_cell(c) for c in cells]
+        results = [train.multi_seed(c["config"], seeds, dataset=c["dataset"]) for c in cells]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_cell, cells))
+            futures = [pool.submit(train.multi_seed, c["config"], seeds, dataset=c["dataset"])
+                       for c in cells]
+            results = [f.result() for f in futures]
 
     os.makedirs(args.out, exist_ok=True)
     header = ["family", "train_size", "seeds",

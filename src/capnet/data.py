@@ -85,11 +85,6 @@ def parse_idx(data: bytes) -> np.ndarray:
     return _scale(raw)
 
 
-def load_idx(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        return parse_idx(f.read())
-
-
 def _read_idx(path, magic: int) -> np.ndarray:
     with open(path, "rb") as f:
         found, raw = _idx_payload(f.read())
@@ -236,22 +231,6 @@ class Dataset:
         return next(iter(self.pools.values())).pixels.shape[1]
 
 
-def featurize(class_id: int, mode: str, image=None, noise: float = 0.0, rng=None) -> np.ndarray:
-    """Feature vector of one instance: a one-hot (optionally jittered by
-    uniform noise in [-noise, +noise]) or the scaled image pixels."""
-    if mode == "symbolic":
-        vec = np.zeros(oracle.NUM_CLASSES)
-        vec[int(class_id)] = 1.0
-        if noise > 0.0:
-            vec += rng.uniform(-noise, noise, size=vec.shape)
-        return vec
-    if mode == "image":
-        if image is None:
-            raise ValueError("image mode needs the pixel row")
-        return np.asarray(image, dtype=np.float64)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def generate_dataset(spec: DatasetSpec, pools: dict = None) -> Dataset:
     """Generate oracle-labelled bags for all three splits.
 
@@ -390,8 +369,7 @@ def save_dataset(ds: Dataset, out_dir) -> dict:
         payload = "".join(_bag_line(bag) + "\n" for bag in ds.splits[split]).encode()
         manifest["checksums"][split] = hashlib.sha256(payload).hexdigest()
         payloads[os.path.join(out_dir, f"{split}.jsonl")] = payload
-    payloads[os.path.join(out_dir, "manifest.json")] = \
-        (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode()
+    payloads[os.path.join(out_dir, "manifest.json")] = fileio.json_bytes(manifest)
     fileio.write_files(payloads)
     ds.manifest = manifest
     return manifest

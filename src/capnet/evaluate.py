@@ -10,11 +10,12 @@ and leaves the live parameters' gradients alone.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, models, oracle
+from . import data, fileio, models, oracle
 
 EVAL_BATCH = 1000
 
@@ -96,8 +97,6 @@ class IntermediateEntry:
 
     @property
     def deltas(self) -> list:
-        if self.expected is None:
-            return []
         return [abs(e - p) for e, p in zip(self.expected, self.predicted)]
 
 
@@ -135,32 +134,9 @@ def intermediate_mae(params, ds: data.Dataset, split: str) -> IntermediateReport
     sequential decomposition of the label, in stored instance order."""
     if not params.spec.capacity:
         raise ValueError("intermediate_mae needs a capacity model; "
-                         "use pseudo_intermediates for baselines")
+                         "use pseudo_report for baselines")
     return _step_report(params, ds, split, "capacity", lambda p, feats: np.stack(
         [v.data for v in models.batch_forward(p, feats).intermediates], axis=1))
-
-
-def pseudo_intermediates(params, bag, task: oracle.TaskSpec = None,
-                         classes=None) -> IntermediateEntry:
-    """Prefix-difference attribution for one bag on a non-capacity model.
-
-    The i-th value is decode(prefix of i instances) minus decode(prefix of
-    i-1); differences telescope to the full-bag prediction. Expected values
-    (and so deltas) are filled in when the task and classes are given.
-    """
-    if params.spec.capacity:
-        raise ValueError("capacity models expose real intermediates; no pseudo values needed")
-    feats = models._single(bag)
-    if not feats:
-        raise ValueError("pseudo_intermediates rejects empty bags")
-    prefix_preds = _prefix_predictions(params.detached(), feats)[:, 0]
-    nu = [float(prefix_preds[0])]
-    for i in range(1, len(feats)):
-        nu.append(float(prefix_preds[i] - prefix_preds[i - 1]))
-    expected = None
-    if task is not None and classes is not None:
-        expected = [float(v) for v in oracle.decompose(task, classes)]
-    return IntermediateEntry(list(classes) if classes is not None else None, expected, nu)
 
 
 def _prefix_predictions(params, feats: list) -> np.ndarray:
@@ -175,7 +151,12 @@ def _prefix_predictions(params, feats: list) -> np.ndarray:
 
 
 def pseudo_report(params, ds: data.Dataset, split: str) -> IntermediateReport:
-    """Split-level pseudo-intermediate report with MAE against the oracle."""
+    """Prefix-difference attribution for a non-capacity model, scored
+    against the oracle like `intermediate_mae`.
+
+    A bag's i-th value is decode(prefix of i instances) minus decode(prefix
+    of i-1), so its values telescope to the full-bag prediction.
+    """
     if params.spec.capacity:
         raise ValueError("pseudo_report is for non-capacity models")
     return _step_report(params, ds, split, "pseudo", lambda p, feats: np.diff(
@@ -183,12 +164,10 @@ def pseudo_report(params, ds: data.Dataset, split: str) -> IntermediateReport:
 
 
 def write_intermediate_jsonl(path, report: IntermediateReport):
-    import json
-    with open(path, "w") as f:
-        for e in report.entries:
-            f.write(json.dumps({"classes": e.classes, "expected": e.expected,
-                                "predicted": e.predicted},
-                               sort_keys=True, separators=(",", ":")) + "\n")
+    fileio.write_files({path: "".join(
+        json.dumps({"classes": e.classes, "expected": e.expected, "predicted": e.predicted},
+                   sort_keys=True, separators=(",", ":")) + "\n"
+        for e in report.entries).encode()})
 
 
 # -- order sensitivity and accuracy ----------------------------------------
@@ -227,24 +206,3 @@ def rounded_accuracy(params, ds: data.Dataset, split: str) -> float:
     rounded = np.sign(preds) * np.floor(np.abs(preds) + 0.5)
     labels = np.array([b.label for b in ds.splits[split]], dtype=np.float64)
     return float(np.mean(rounded == labels))
-
-
-def size_sweep(config, dataset_spec: data.DatasetSpec, sizes, seeds=(0,)) -> list:
-    """Independent generate+train+eval per set size; one result row each."""
-    from . import train as train_mod  # deferred: train imports this module
-    if not sizes or any(int(n) < 1 for n in sizes):
-        raise ValueError("sizes must be a non-empty list of integers >= 1")
-    rows = []
-    for n in sizes:
-        ds = data.generate_dataset(data.DatasetSpec(
-            task=dataset_spec.task, mode=dataset_spec.mode, set_size=int(n),
-            counts=dataset_spec.counts, seed=dataset_spec.seed,
-            noise=dataset_spec.noise, pair_count=dataset_spec.pair_count))
-        agg = train_mod.multi_seed(config, list(seeds), dataset=ds)
-        rows.append({
-            "size": int(n),
-            "val_mse": agg["val_mse"],
-            "test_mse": agg["test_mse"],
-            "label_variance": data.label_stats(ds.splits["test"])["variance"],
-        })
-    return rows

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
+import json
 import os
 
 
@@ -25,3 +28,15 @@ def write_files(payloads: dict) -> None:
         for path in payloads:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(f"{path}.tmp")
+
+
+def csv_bytes(rows) -> bytes:
+    """Rows as `csv.writer` writes them: comma-separated, CRLF line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+def json_bytes(obj) -> bytes:
+    """A JSON artefact: sorted keys, one-space indent, trailing newline."""
+    return (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode()

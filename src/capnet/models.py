@@ -15,14 +15,13 @@ exact same parameter set, so their trainable parameter counts are equal by
 construction.
 
 Forward passes are batched: a batch of same-size bags is processed as a list
-of per-position [batch, features] matrices. The per-bag helpers wrap that
-with a batch of one.
+of per-position [batch, features] matrices; one bag is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +69,6 @@ class ModelSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "ModelSpec":
         return cls(**obj)
-
-
-@dataclass
-class ForwardOutput:
-    prediction: float
-    intermediates: list = field(default_factory=list)
-    latents: list = field(default_factory=list)
 
 
 def _add_linear(store: ad.ParamStore, rng, path: str, fan_in: int, fan_out: int):
@@ -129,11 +121,7 @@ def init_model(spec: ModelSpec, seed: int) -> ad.ParamStore:
     return store
 
 
-def param_count(params: ad.ParamStore) -> int:
-    return params.param_count()
-
-
-# -- forward passes (batched core) ----------------------------------------
+# -- forward pass ------------------------------------------------------------
 
 def _embed(params, x: ad.Tensor) -> ad.Tensor:
     return ad.linear(x, params["embed/W"], params["embed/b"])
@@ -250,68 +238,3 @@ def decode_state(params: ad.ParamStore, h: np.ndarray) -> np.ndarray:
     params = params.detached()
     out = _mlp(params, "dec", params.spec.dec_layers, ad.Tensor(h))
     return out.data[:, 0]
-
-
-# -- per-bag interface ------------------------------------------------------
-
-def _single(bag) -> list:
-    arr = np.asarray(bag, dtype=np.float64)
-    if arr.size == 0:
-        return []
-    if arr.ndim != 2:
-        raise ValueError(f"a bag is a [n, features] array, got shape {arr.shape}")
-    return [arr[i:i + 1] for i in range(arr.shape[0])]
-
-
-def _bag_output(out: BatchOutput) -> ForwardOutput:
-    return ForwardOutput(
-        prediction=float(out.prediction.data[0]) if out.prediction.data.size else 0.0,
-        intermediates=[float(v.data[0]) for v in out.intermediates],
-        latents=[np.array(h[0]) for h in out.latents],
-    )
-
-
-def forward(params: ad.ParamStore, bag) -> ForwardOutput:
-    """Evaluate one bag ([n, features]); dispatches on the model's family."""
-    spec = params.spec
-    feats = _single(bag)
-    if not feats and not spec.capacity:
-        raise ValueError(f"{spec.label} rejects empty bags")
-    out = batch_forward(params, feats)
-    result = _bag_output(out)
-    if out.weights is not None:
-        result.latents = [np.array(out.weights[0])] + result.latents
-    return result
-
-
-def forward_deepset(params, bag) -> ForwardOutput:
-    if params.spec.family != "deepset":
-        raise ValueError(f"model family is {params.spec.family!r}")
-    return forward(params, bag)
-
-
-def forward_attention(params, bag) -> ForwardOutput:
-    if params.spec.family != "attention":
-        raise ValueError(f"model family is {params.spec.family!r}")
-    return forward(params, bag)
-
-
-def forward_sequential(params, bag) -> ForwardOutput:
-    spec = params.spec
-    if spec.family not in SEQUENTIAL or spec.capacity:
-        raise ValueError("forward_sequential needs a non-capacity sequential model")
-    return forward(params, bag)
-
-
-def forward_capacity(params, bag) -> ForwardOutput:
-    if not params.spec.capacity:
-        raise ValueError("forward_capacity needs capacity=True")
-    return forward(params, bag)
-
-
-def attention_weights(params, bag) -> np.ndarray:
-    """Softmax pooling weights for one bag (attention family only)."""
-    if params.spec.family != "attention":
-        raise ValueError(f"model family is {params.spec.family!r}")
-    out = batch_forward(params, _single(bag))
-    return np.array(out.weights[0])

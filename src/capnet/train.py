@@ -10,7 +10,6 @@ reason; they go to a separate timing.csv.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -20,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import data, evaluate, models
+from . import data, evaluate, fileio, models
 
 
 @dataclass(frozen=True)
@@ -72,22 +71,6 @@ class MetricsRecord:
 
 class TrainingDiverged(RuntimeError):
     pass
-
-
-def compute_loss(output: models.ForwardOutput, label: float, reg_lambda: float,
-                 reg_threshold: float = 1.0) -> float:
-    """Per-bag loss: squared error plus a squared hinge on each intermediate
-    value above the threshold. The penalty is zero for models without
-    intermediate outputs."""
-    if reg_lambda < 0:
-        raise ValueError("reg_lambda must be >= 0")
-    err = output.prediction - float(label)
-    loss = err * err
-    if reg_lambda > 0:
-        for v in output.intermediates:
-            over = max(0.0, v - reg_threshold)
-            loss += reg_lambda * over * over
-    return loss
 
 
 def batch_loss(params, feats, labels: np.ndarray, reg_lambda: float, reg_threshold: float):
@@ -202,33 +185,27 @@ def train_run(config: RunConfig, out_dir=None, dataset: data.Dataset = None) -> 
 
 
 def write_outputs(result: TrainResult):
+    """Write metrics.csv, timing.csv and checkpoint.capn/.json to the run's
+    directory; all four are written in full before any is renamed into place."""
     out_dir = result.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), result.history)
-    with open(os.path.join(out_dir, "timing.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "split", "seconds"])
-        for rec in result.history:
-            w.writerow([rec.epoch, rec.split, f"{rec.seconds:.6f}"])
-    state = result.params.state_dict()
-    ad.save_checkpoint(os.path.join(out_dir, "checkpoint.capn"), state)
+    history = result.history
+    metrics = [["epoch", "split", "mse", "penalty"]] + [
+        [rec.epoch, rec.split, repr(rec.mse), repr(rec.penalty)] for rec in history]
+    timing = [["epoch", "split", "seconds"]] + [
+        [rec.epoch, rec.split, f"{rec.seconds:.6f}"] for rec in history]
     meta = {
         "model": result.params.spec.to_json(),
         "dataset": result.config.dataset,
         "seed": result.config.seed,
         "config_hash": result.config.config_hash(),
     }
-    with open(os.path.join(out_dir, "checkpoint.json"), "w") as f:
-        json.dump(meta, f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
-def write_metrics_csv(path, history):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "split", "mse", "penalty"])
-        for rec in history:
-            w.writerow([rec.epoch, rec.split, repr(rec.mse), repr(rec.penalty)])
+    ad.save_checkpoint(os.path.join(out_dir, "checkpoint.capn"), result.params.state_dict(),
+                       sidecars={
+                           os.path.join(out_dir, "metrics.csv"): fileio.csv_bytes(metrics),
+                           os.path.join(out_dir, "timing.csv"): fileio.csv_bytes(timing),
+                           os.path.join(out_dir, "checkpoint.json"): fileio.json_bytes(meta),
+                       })
 
 
 def load_params(checkpoint_path) -> ad.ParamStore:

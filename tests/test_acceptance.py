@@ -27,6 +27,11 @@ DESK_COUNTS = (20000, 2000, 2000)
 UC_THRESHOLD = 0.1
 
 
+def _rows(bag):
+    """One [n, features] bag as the per-position matrices of a batch of one."""
+    return [bag[i:i + 1] for i in range(len(bag))]
+
+
 def report(num, ok, detail):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
@@ -137,7 +142,7 @@ def test_criterion_02_worked_examples():
 
 # -- 3: gradient checks -----------------------------------------------------
 
-def _fd_grad(params, path, forward, eps=1e-6):
+def _fd_grad(params, path, predict, eps=1e-6):
     arr = params[path].data
     grad = np.empty_like(arr)
     flat = arr.reshape(-1)
@@ -145,9 +150,9 @@ def _fd_grad(params, path, forward, eps=1e-6):
     for i in range(flat.size):
         keep = flat[i]
         flat[i] = keep + eps
-        hi = forward()
+        hi = predict()
         flat[i] = keep - eps
-        lo = forward()
+        lo = predict()
         flat[i] = keep
         gflat[i] = (hi - lo) / (2 * eps)
     return grad
@@ -159,7 +164,7 @@ def _grad_check(spec, seed=0):
     rng = np.random.default_rng(seed)
     params = models.init_model(spec, seed)
     bag = rng.normal(scale=0.5, size=(3, spec.input_dim))
-    feats = models._single(bag)
+    feats = _rows(bag)
 
     if spec.capacity:
         # keep every per-instance value away from the |.| kink
@@ -169,9 +174,9 @@ def _grad_check(spec, seed=0):
             if min(vals) > 1e-3:
                 break
             bag = rng.normal(scale=0.5, size=(3, spec.input_dim))
-            feats = models._single(bag)
+            feats = _rows(bag)
 
-    def forward():
+    def predict():
         return float(models.batch_forward(params, feats).prediction.data[0])
 
     out = models.batch_forward(params, feats)
@@ -179,7 +184,7 @@ def _grad_check(spec, seed=0):
     out.prediction.backward()
     worst = 0.0
     for path, tensor in params.items():
-        fd = _fd_grad(params, path, forward)
+        fd = _fd_grad(params, path, predict)
         grad = tensor.grad if tensor.grad is not None else np.zeros_like(fd)
         num = np.linalg.norm(grad - fd)
         den = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-8)
@@ -215,8 +220,8 @@ def test_criterion_04_parameter_parity():
         cap = models.ModelSpec(family, capacity=True, embed_dim=64, hidden_dim=32,
                                enc_layers=3, dec_layers=3)
         pairs.append((family,
-                      models.param_count(models.init_model(base, 0)),
-                      models.param_count(models.init_model(cap, 0))))
+                      models.init_model(base, 0).param_count(),
+                      models.init_model(cap, 0).param_count()))
     ok = all(b == c for _, b, c in pairs)
     report(4, ok, "; ".join(f"{f}: {b} == {c}" for f, b, c in pairs))
 
@@ -234,11 +239,12 @@ def test_criterion_05_structural_invariants():
         for seed in range(3):
             params = models.init_model(spec, seed)
             for n in (1, 3, 6):
-                bag = rng.normal(size=(n, 10))
-                out = models.forward(params, bag)
-                assert all(v >= 0.0 for v in out.intermediates)
-                gap = abs(out.prediction - sum(out.intermediates))
-                worst_rel = max(worst_rel, gap / max(1.0, abs(out.prediction)))
+                out = models.batch_forward(params, _rows(rng.normal(size=(n, 10))))
+                pred = out.prediction.data[0]
+                nus = [v.data[0] for v in out.intermediates]
+                assert all(v >= 0.0 for v in nus)
+                gap = abs(pred - sum(nus))
+                worst_rel = max(worst_rel, gap / max(1.0, abs(pred)))
     assert worst_rel <= 1e-9
     msgs.append(f"capacity sum identity rel {worst_rel:.1e}")
 
@@ -247,7 +253,8 @@ def test_criterion_05_structural_invariants():
     bag = rng.normal(size=(6, 10))
     preds = []
     for _ in range(10):
-        preds.append(models.forward(params, bag[rng.permutation(6)]).prediction)
+        preds.append(models.batch_forward(params, _rows(bag[rng.permutation(6)]))
+                     .prediction.data[0])
     spread = (max(preds) - min(preds)) / max(1.0, abs(preds[0]))
     assert spread <= 1e-9
     msgs.append(f"deepset perm spread {spread:.1e}")
@@ -255,7 +262,7 @@ def test_criterion_05_structural_invariants():
     # attention weights on the simplex
     params = models.init_model(models.ModelSpec("attention", embed_dim=8, hidden_dim=6), 0)
     for n in (1, 4, 7):
-        w = models.attention_weights(params, rng.normal(size=(n, 10)))
+        w = models.batch_forward(params, _rows(rng.normal(size=(n, 10)))).weights[0]
         assert abs(w.sum() - 1.0) <= 1e-12
         assert np.all(w >= -1e-12) and np.all(w <= 1 + 1e-12)
     msgs.append("attention weights on simplex")

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capnet import autodiff as ad
 from capnet import fileio, models
@@ -288,6 +290,56 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"CAPN" + struct.pack("<I", 99))
     with pytest.raises(ValueError, match="version"):
         ad.load_checkpoint(path)
+
+    # magic followed by half a version field
+    path.write_bytes(b"CAPN\x01\x00")
+    with pytest.raises(ValueError, match="truncated checkpoint at byte 6"):
+        ad.load_checkpoint(path)
+
+
+_CKPT_SPEC = models.ModelSpec("gru", capacity=True, input_dim=3, embed_dim=2, hidden_dim=2,
+                              enc_layers=1, dec_layers=1)
+_CKPT_STATE = models.init_model(_CKPT_SPEC, 0).state_dict()
+
+
+def _checkpoint_blob(tmp_path) -> bytes:
+    path = tmp_path / "valid.capn"
+    ad.save_checkpoint(path, _CKPT_STATE)
+    return path.read_bytes()
+
+
+def _record_ends() -> set:
+    """Byte offsets at which a record of the valid checkpoint ends."""
+    ends, offset = {8}, 8
+    for name in sorted(_CKPT_STATE):
+        arr = _CKPT_STATE[name]
+        offset += 8 + len(name.encode()) + 4 * arr.ndim + 8 * arr.size
+        ends.add(offset)
+    return ends
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_checkpoint_damage_raises_value_error(tmp_path, draw):
+    """Every truncation of a valid checkpoint, and every random tail after
+    its magic (or magic and version), fails to load with ValueError. A
+    truncation between records parses and is caught by the parameter set."""
+    blob = _checkpoint_blob(tmp_path)
+    payload = draw.draw(st.one_of(
+        st.integers(0, len(blob) - 1).map(lambda k: blob[:k]),
+        st.binary(max_size=80).map(lambda tail: b"CAPN" + tail),
+        st.binary(max_size=80).map(lambda tail: blob[:8] + tail)))
+    path = tmp_path / "damaged.capn"
+    path.write_bytes(payload)
+    store = models.init_model(_CKPT_SPEC, 1)
+    if payload == blob[:len(payload)] and len(payload) in _record_ends():
+        state = ad.load_checkpoint(path)
+        with pytest.raises(ValueError, match="parameter set mismatch"):
+            store.load_state_dict(state)
+        return
+    with pytest.raises(ValueError):
+        store.load_state_dict(ad.load_checkpoint(path))
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):

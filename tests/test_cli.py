@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface, run in process."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -171,6 +172,23 @@ def test_runtime_failure_exit_code(tmp_path):
     assert cli.main(["train", "--config", cfg, "--out", str(blocker)]) == 3
 
 
+def test_experiment_manifest_and_csv_bytes_are_pinned(tmp_path):
+    """Digests of experiment.json and of a CSV as written before they went
+    through temp files; the on-disk bytes must not change."""
+    model = models.ModelSpec("gru", capacity=True, input_dim=10, embed_dim=8, hidden_dim=6,
+                             enc_layers=2, dec_layers=2)
+    cfg = train.RunConfig(dataset="/data/wtri", model=model, epochs=2, seed=0)
+    cli._write_experiment_manifest(str(tmp_path), cfg, [0, 3], ["b.csv", "a.csv"])
+    cli._write_csv(str(tmp_path / "x.csv"), ["pass", "mse"],
+                   [[0, repr(0.1)], ["mean", repr(1 / 3)], ["", "a,b"]])
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in ("experiment.json", "x.csv")}
+    assert digests == {
+        "experiment.json": "63fcded3772adc61d2369fad2c907ddde731783a06337b50ac3ee9e4f7f5b9a0",
+        "x.csv": "ddb28b903cfffc0f0574b715bddae620f59192cd8dd6a55404326b8fbc3bc440",
+    }
+
+
 # -- eval -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -238,6 +256,16 @@ def test_eval_missing_checkpoint(trained):
     ds, _, tmp_path = trained
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "no.capn"),
                      "--dataset", ds, "--out", str(tmp_path / "o"), "--metric", "mse"]) == 2
+
+
+def test_eval_truncated_checkpoint(trained, tmp_path, capsys):
+    ds, ckpt, _ = trained
+    short = tmp_path / "short.capn"
+    short.write_bytes(b"CAPN\x01\x00")
+    (tmp_path / "short.json").write_bytes(open(ckpt[:-len(".capn")] + ".json", "rb").read())
+    assert cli.main(["eval", "--checkpoint", str(short), "--dataset", ds,
+                     "--out", str(tmp_path / "o"), "--metric", "mse"]) == 2
+    assert "truncated checkpoint at byte 6" in capsys.readouterr().err
 
 
 def test_eval_feature_dim_mismatch(trained, tmp_path):

@@ -317,19 +317,6 @@ def test_load_reports_line_numbers(tmp_path):
         data.load_dataset(tmp_path)
 
 
-def test_featurize_symbolic_and_noise():
-    vec = data.featurize(7, "symbolic")
-    assert vec.tolist() == [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
-    rng = np.random.default_rng(0)
-    noisy = data.featurize(7, "symbolic", noise=0.05, rng=rng)
-    assert np.abs(noisy - vec).max() <= 0.05
-    assert not np.array_equal(noisy, vec)
-    img = np.full(16, 0.5)
-    assert np.array_equal(data.featurize(3, "image", image=img), img)
-    with pytest.raises(ValueError):
-        data.featurize(3, "image")
-
-
 def test_image_mode_draws_from_matching_class(tmp_path):
     pools = {s: synth_pool(s, seed=i) for i, s in enumerate(data.SPLITS)}
     spec = data.DatasetSpec(task="US", mode="image", set_size=3,
@@ -500,8 +487,14 @@ def test_group_by_size_and_position_features():
     assert classes.tolist() == [[1, 2], [2, 2]]
     feats = data.position_features(classes, img_idx, "symbolic")
     assert len(feats) == 2
-    assert feats[0][0].tolist() == data.featurize(1, "symbolic").tolist()
-    assert feats[1][1].tolist() == data.featurize(2, "symbolic").tolist()
+    assert feats[0].tolist() == [[0, 1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]]
+    assert feats[1].tolist() == [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]]
+    # noise is added to the one-hots, position by position
+    noise = np.random.default_rng(0).uniform(-0.05, 0.05, size=(2, 2, 10))
+    noisy = data.position_features(classes, img_idx, "symbolic", noise=noise)
+    for pos in range(2):
+        assert np.array_equal(noisy[pos], feats[pos] + noise[:, pos, :])
+        assert 0 < np.abs(noisy[pos] - feats[pos]).max() <= 0.05
 
 
 def test_split_noise_is_deterministic_and_bounded():

@@ -21,8 +21,13 @@ def small(family, capacity=False, seed=0):
     return models.init_model(spec, seed)
 
 
-def one_hots(classes):
-    return np.eye(oracle.NUM_CLASSES)[np.asarray(classes, dtype=np.int64)]
+def bag_features(bag):
+    """A stored symbolic bag as the per-position features of a batch of one."""
+    return data.position_features(np.array([bag.classes]), np.array([bag.img_idx]), "symbolic")
+
+
+def predict(params, bag) -> float:
+    return float(models.batch_forward(params, bag_features(bag)).prediction.data[0])
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +50,7 @@ def test_evaluate_mse_matches_naive_loop(mixed_ds, family, capacity):
     params = small(family, capacity=capacity)
     batched = evaluate.evaluate_mse(params, mixed_ds, "val")
     sq = [
-        (models.forward(params, one_hots(bag.classes)).prediction - bag.label) ** 2
+        (predict(params, bag) - bag.label) ** 2
         for bag in mixed_ds.splits["val"]
     ]
     naive = float(np.mean(sq))
@@ -58,7 +63,7 @@ def test_split_predictions_align_with_bag_order(mixed_ds):
     bags = mixed_ds.splits["val"]
     assert preds.shape == (len(bags),)
     for i in range(0, len(bags), 17):
-        direct = models.forward(params, one_hots(bags[i].classes)).prediction
+        direct = predict(params, bags[i])
         assert preds[i] == pytest.approx(direct, rel=1e-12)
     labels = np.array([b.label for b in bags], dtype=np.float64)
     mse = evaluate.evaluate_mse(params, mixed_ds, "val")
@@ -142,7 +147,6 @@ def test_every_eval_routine_is_forward_only(us_ds, monkeypatch, family, capacity
         routines.append(lambda: evaluate.intermediate_mae(params, us_ds, "val"))
     else:
         routines.append(lambda: evaluate.pseudo_report(params, us_ds, "val"))
-        routines.append(lambda: evaluate.pseudo_intermediates(params, one_hots([3, 1, 4])))
     for run in routines:
         seen.clear()
         run()
@@ -246,49 +250,67 @@ def test_intermediate_mae_rejects_baseline(us_ds):
         evaluate.intermediate_mae(small("gru"), us_ds, "val")
 
 
-@pytest.mark.parametrize("family", ["deepset", "attention", "rnn", "gru", "lstm"])
+@pytest.mark.parametrize("family", models.FAMILIES)
 def test_pseudo_values_telescope(us_ds, family):
     params = small(family, seed=2)
-    bag = us_ds.splits["val"][0]
-    feats = one_hots(bag.classes)
-    entry = evaluate.pseudo_intermediates(params, feats, task=us_ds.task,
-                                          classes=bag.classes)
-    assert len(entry.predicted) == len(bag.classes)
-    total = models.forward(params, feats).prediction
-    assert sum(entry.predicted) == pytest.approx(total, rel=1e-9, abs=1e-9)
-    assert entry.expected == [float(v) for v in oracle.decompose(us_ds.task, bag.classes)]
-    assert len(entry.deltas) == len(bag.classes)
+    report = evaluate.pseudo_report(params, us_ds, "val")
+    for bag, entry in zip(us_ds.splits["val"], report.entries, strict=True):
+        assert entry.classes == bag.classes
+        assert len(entry.predicted) == len(bag.classes)
+        assert sum(entry.predicted) == pytest.approx(predict(params, bag), rel=1e-9, abs=1e-9)
+        assert entry.expected == [float(v) for v in oracle.decompose(us_ds.task, bag.classes)]
+        assert len(entry.deltas) == len(bag.classes)
 
 
 def test_pseudo_single_instance():
+    ds = data.generate_dataset(
+        data.DatasetSpec(task="US", set_size=(1, 3), counts=(20, 30, 5), seed=8))
     params = small("lstm")
-    feats = one_hots([4])
-    entry = evaluate.pseudo_intermediates(params, feats)
-    assert entry.predicted == [pytest.approx(models.forward(params, feats).prediction)]
-    assert entry.expected is None and entry.deltas == []
+    report = evaluate.pseudo_report(params, ds, "val")
+    singles = [(b, e) for b, e in zip(ds.splits["val"], report.entries) if b.size == 1]
+    assert singles
+    for bag, entry in singles:
+        assert entry.predicted == [pytest.approx(predict(params, bag))]
+        assert entry.deltas == [abs(bag.label - entry.predicted[0])]
 
 
 def test_pseudo_rejections(us_ds):
     with pytest.raises(ValueError, match="capacity"):
-        evaluate.pseudo_intermediates(small("gru", capacity=True), one_hots([1, 2]))
+        evaluate.pseudo_report(small("gru", capacity=True), us_ds, "val")
+    empty = data.Dataset(us_ds.spec, us_ds.task, dict(us_ds.splits, val=[]))
     with pytest.raises(ValueError, match="empty"):
-        evaluate.pseudo_intermediates(small("gru"), np.zeros((0, 10)))
+        evaluate.pseudo_report(small("gru"), empty, "val")
 
 
-@pytest.mark.parametrize("family", ["deepset", "gru"])
+@pytest.mark.parametrize("family", models.FAMILIES)
 def test_pseudo_report_matches_per_bag(us_ds, family):
+    """Reference: the full forward pass on each prefix of a bag, as a batch
+    of one; a bag's i-th pseudo value is prefix i's prediction minus
+    prefix i-1's."""
     params = small(family, seed=1)
     report = evaluate.pseudo_report(params, us_ds, "val")
     assert report.kind == "pseudo"
     deltas = []
     for i in (0, 7, 31):
         bag = us_ds.splits["val"][i]
-        single = evaluate.pseudo_intermediates(params, one_hots(bag.classes),
-                                               task=us_ds.task, classes=bag.classes)
-        assert report.entries[i].predicted == pytest.approx(single.predicted, rel=1e-9, abs=1e-9)
+        feats = bag_features(bag)
+        prefix = [float(models.batch_forward(params, feats[:k + 1]).prediction.data[0])
+                  for k in range(len(feats))]
+        expected = np.diff(prefix, prepend=0.0)
+        assert report.entries[i].predicted == pytest.approx(expected, rel=1e-9, abs=1e-9)
     for e in report.entries:
         deltas.extend(e.deltas)
     assert report.mae == pytest.approx(float(np.mean(deltas)), rel=1e-12)
+
+
+def test_intermediate_jsonl_bytes_are_pinned(tmp_path):
+    """Digest of intermediates.jsonl as written before it went through a
+    temp file; the on-disk bytes must not change."""
+    report = evaluate.IntermediateReport(
+        [evaluate.IntermediateEntry([1, 2], [1.0, 2.0], [0.5, 1 / 3])], 0.25, "pseudo")
+    evaluate.write_intermediate_jsonl(tmp_path / "i.jsonl", report)
+    assert hashlib.sha256((tmp_path / "i.jsonl").read_bytes()).hexdigest() == \
+        "862011144502161bc8fede2a24889466bf3fc77bf37db181ca1c032e16cf4f35"
 
 
 def test_pseudo_report_rejects_capacity(us_ds):
@@ -348,27 +370,3 @@ def test_rounded_accuracy_constant_predictor(us_ds):
     labels = np.array([b.label for b in us_ds.splits["val"]], dtype=np.float64)
     expected = float(np.mean(labels == 0.0))
     assert evaluate.rounded_accuracy(params, us_ds, "val") == pytest.approx(expected)
-
-
-# -- size sweep -------------------------------------------------------------
-
-def test_size_sweep_rows():
-    cfg = train.RunConfig(dataset="mem", model=models.ModelSpec("deepset"),
-                          lr=0.01, batch_size=50, epochs=1, seed=0)
-    spec = data.DatasetSpec(task="WTri", set_size=3, counts=(200, 40, 40), seed=5)
-    rows = evaluate.size_sweep(cfg, spec, [2, 5])
-    assert [r["size"] for r in rows] == [2, 5]
-    for r in rows:
-        assert set(r) == {"size", "val_mse", "test_mse", "label_variance"}
-        assert r["val_mse"]["per_seed"] and np.isfinite(r["val_mse"]["median"])
-    # more instances per bag spreads the triangular-sum labels further out
-    assert rows[1]["label_variance"] > rows[0]["label_variance"]
-
-
-def test_size_sweep_rejects_bad_sizes():
-    cfg = train.RunConfig(dataset="mem", model=models.ModelSpec("deepset"))
-    spec = data.DatasetSpec(task="US", set_size=3, counts=(50, 10, 10), seed=5)
-    with pytest.raises(ValueError):
-        evaluate.size_sweep(cfg, spec, [])
-    with pytest.raises(ValueError):
-        evaluate.size_sweep(cfg, spec, [0])

@@ -5,6 +5,8 @@ Reference values come from plain-numpy reimplementations in this file."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capnet import models
 from capnet.models import ModelSpec, init_model
@@ -20,6 +22,15 @@ def small_spec(family, capacity=False, **kw):
 
 def rand_bag(rng, n, dim=6):
     return rng.normal(size=(n, dim))
+
+
+def rows(bag):
+    """One [n, features] bag as the per-position matrices of a batch of one."""
+    return [bag[i:i + 1] for i in range(len(bag))]
+
+
+def predict(params, bag) -> float:
+    return float(models.batch_forward(params, rows(bag)).prediction.data[0])
 
 
 # -- plain-numpy references -------------------------------------------------
@@ -89,7 +100,7 @@ def hand_param_count(spec: ModelSpec) -> int:
 def test_param_count_matches_closed_form():
     for family in models.FAMILIES:
         spec = small_spec(family)
-        assert models.param_count(init_model(spec, 0)) == hand_param_count(spec)
+        assert init_model(spec, 0).param_count() == hand_param_count(spec)
 
 
 def test_capacity_baseline_parameter_parity():
@@ -99,13 +110,13 @@ def test_capacity_baseline_parameter_parity():
         cap = ModelSpec(family=family, capacity=True, input_dim=10, embed_dim=64,
                         hidden_dim=32, enc_layers=3, dec_layers=3)
         pb, pc = init_model(base, 0), init_model(cap, 0)
-        assert models.param_count(pb) == models.param_count(pc)
+        assert pb.param_count() == pc.param_count()
         assert pb.paths() == pc.paths()
 
 
 def test_lstm_gru_gap_is_one_gate_block():
-    lstm = models.param_count(init_model(small_spec("lstm"), 0))
-    gru = models.param_count(init_model(small_spec("gru"), 0))
+    lstm = init_model(small_spec("lstm"), 0).param_count()
+    gru = init_model(small_spec("gru"), 0).param_count()
     d, e = 4, 8
     assert lstm - gru == (d + e) * d + d
 
@@ -113,17 +124,17 @@ def test_lstm_gru_gap_is_one_gate_block():
 def test_doubling_hidden_dim_tracks_closed_form():
     for family in ("gru", "deepset"):
         wide = small_spec(family, hidden_dim=8)
-        assert models.param_count(init_model(wide, 0)) == hand_param_count(wide)
+        assert init_model(wide, 0).param_count() == hand_param_count(wide)
 
 
 def test_deepset_is_permutation_invariant_and_additive():
     rng = np.random.default_rng(1)
     params = init_model(small_spec("deepset"), 2)
     bag = rand_bag(rng, 7)
-    ref = models.forward(params, bag).prediction
+    ref = predict(params, bag)
     for _ in range(10):
         perm = rng.permutation(7)
-        out = models.forward(params, bag[perm]).prediction
+        out = predict(params, bag[perm])
         assert abs(out - ref) <= 1e-9 * max(1.0, abs(ref))
 
     # duplicate instance contributes its encoding twice to the pooled vector
@@ -139,24 +150,28 @@ def test_deepset_single_instance_equals_decode_of_encoding():
     params = init_model(small_spec("deepset"), 5)
     x = rand_bag(rng, 1)
     expected = np_mlp(params, "dec", 2, np_mlp(params, "enc", 2, np_embed(params, x)))[0, 0]
-    assert models.forward(params, x).prediction == pytest.approx(expected, rel=1e-12)
+    assert predict(params, x) == pytest.approx(expected, rel=1e-12)
 
 
-def test_attention_weights_form_a_simplex():
+def pooling_weights(params, bag):
+    return models.batch_forward(params, rows(bag)).weights[0]
+
+
+def test_attention_pooling_weights_form_a_simplex():
     rng = np.random.default_rng(4)
     params = init_model(small_spec("attention"), 1)
     for n in (1, 2, 5, 9):
-        w = models.attention_weights(params, rand_bag(rng, n))
+        w = pooling_weights(params, rand_bag(rng, n))
         assert w.shape == (n,)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) <= 1e-12
-    assert models.attention_weights(params, rand_bag(rng, 1))[0] == pytest.approx(1.0, abs=1e-15)
+    assert pooling_weights(params, rand_bag(rng, 1))[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_attention_identical_instances_get_uniform_weights():
     params = init_model(small_spec("attention"), 6)
     x = np.tile(np.linspace(0, 1, 6), (4, 1))
-    w = models.attention_weights(params, x)
+    w = pooling_weights(params, x)
     assert np.allclose(w, 0.25, atol=1e-12)
 
 
@@ -168,7 +183,7 @@ def test_rnn_single_step_matches_numpy():
     h = np.tanh(np.concatenate([np.zeros((1, 4)), e], axis=1)
                 @ params["cell/h/W"].data + params["cell/h/b"].data)
     expected = np_mlp(params, "dec", 2, h)[0, 0]
-    assert models.forward(params, x).prediction == pytest.approx(expected, rel=1e-12)
+    assert predict(params, x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_weight_rnn_predicts_a_constant():
@@ -177,7 +192,7 @@ def test_zero_weight_rnn_predicts_a_constant():
     state["cell/h/W"][:] = 0.0
     params.load_state_dict(state)
     rng = np.random.default_rng(0)
-    preds = {models.forward(params, rand_bag(rng, n)).prediction for n in (1, 3, 6)}
+    preds = {predict(params, rand_bag(rng, n)) for n in (1, 3, 6)}
     h = np.tanh(params["cell/h/b"].data)[None, :]
     expected = np_mlp(params, "dec", 2, h)[0, 0]
     for p in preds:
@@ -197,7 +212,7 @@ def test_lstm_gate_arithmetic_on_tiny_cell():
     c = sigmoid(gates["f"]) * 0 + sigmoid(gates["i"]) * np.tanh(gates["g"])
     h = sigmoid(gates["o"]) * np.tanh(c)
     expected = np_mlp(params, "dec", 1, h)[0, 0]
-    assert models.forward(params, x).prediction == pytest.approx(expected, rel=1e-12)
+    assert predict(params, x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gru_gate_arithmetic_on_tiny_cell():
@@ -216,7 +231,7 @@ def test_gru_gate_arithmetic_on_tiny_cell():
                     @ params["cell/n/W"].data + params["cell/n/b"].data)
         h = z * h + (1 - z) * n
     expected = np_mlp(params, "dec", 1, h)[0, 0]
-    assert models.forward(params, xs).prediction == pytest.approx(expected, rel=1e-12)
+    assert predict(params, xs) == pytest.approx(expected, rel=1e-12)
 
 
 def test_capacity_sum_identity_and_nonnegativity():
@@ -224,10 +239,11 @@ def test_capacity_sum_identity_and_nonnegativity():
     for family in models.SEQUENTIAL:
         for trial in range(25):
             params = init_model(small_spec(family, capacity=True), trial)
-            out = models.forward(params, rand_bag(rng, int(rng.integers(1, 8))))
-            total = sum(out.intermediates)
-            assert abs(out.prediction - total) <= 1e-9 * max(1.0, abs(out.prediction))
-            assert all(v >= 0 for v in out.intermediates)
+            out = models.batch_forward(params, rows(rand_bag(rng, int(rng.integers(1, 8)))))
+            pred = out.prediction.data[0]
+            nus = [v.data[0] for v in out.intermediates]
+            assert abs(pred - sum(nus)) <= 1e-9 * max(1.0, abs(pred))
+            assert all(v >= 0 for v in nus)
 
 
 def test_capacity_without_abs_can_go_negative():
@@ -235,9 +251,10 @@ def test_capacity_without_abs_can_go_negative():
     seen_negative = False
     for trial in range(30):
         params = init_model(small_spec("gru", capacity=True, use_abs=False), trial)
-        out = models.forward(params, rand_bag(rng, 6))
-        assert abs(out.prediction - sum(out.intermediates)) <= 1e-9
-        seen_negative = seen_negative or any(v < 0 for v in out.intermediates)
+        out = models.batch_forward(params, rows(rand_bag(rng, 6)))
+        nus = [v.data[0] for v in out.intermediates]
+        assert abs(out.prediction.data[0] - sum(nus)) <= 1e-9
+        seen_negative = seen_negative or any(v < 0 for v in nus)
     assert seen_negative
 
 
@@ -245,55 +262,57 @@ def test_capacity_prefix_monotonicity_under_abs():
     rng = np.random.default_rng(13)
     params = init_model(small_spec("lstm", capacity=True), 3)
     bag = rand_bag(rng, 6)
-    preds = [models.forward(params, bag[:k]).prediction for k in range(1, 7)]
+    preds = [predict(params, bag[:k]) for k in range(1, 7)]
     assert all(b >= a - 1e-12 for a, b in zip(preds, preds[1:]))
 
 
 def test_empty_bag_handling():
     cap = init_model(small_spec("gru", capacity=True), 0)
-    out = models.forward(cap, np.zeros((0, 6)))
-    assert out.prediction == 0.0
+    out = models.batch_forward(cap, rows(np.zeros((0, 6))))
+    assert out.prediction.data.shape == (0,)
     assert out.intermediates == []
     for family in models.FAMILIES:
         params = init_model(small_spec(family), 0)
-        with pytest.raises(ValueError):
-            models.forward(params, np.zeros((0, 6)))
+        with pytest.raises(ValueError, match="empty"):
+            models.batch_forward(params, rows(np.zeros((0, 6))))
 
 
-def test_dispatch_wrappers_enforce_family():
-    ds = init_model(small_spec("deepset"), 0)
-    seq = init_model(small_spec("rnn"), 0)
-    cap = init_model(small_spec("rnn", capacity=True), 0)
-    bag = np.ones((2, 6))
-    assert models.forward_deepset(ds, bag).prediction == models.forward(ds, bag).prediction
-    with pytest.raises(ValueError):
-        models.forward_deepset(seq, bag)
-    with pytest.raises(ValueError):
-        models.forward_sequential(cap, bag)
-    with pytest.raises(ValueError):
-        models.forward_capacity(seq, bag)
-    with pytest.raises(ValueError):
-        models.attention_weights(seq, bag)
+VARIANTS = [("deepset", False), ("attention", False), ("rnn", False), ("lstm", False),
+            ("gru", False), ("rnn", True), ("lstm", True), ("gru", True)]
 
 
-def test_batched_forward_matches_per_bag():
-    rng = np.random.default_rng(14)
-    for family, capacity in (("deepset", False), ("attention", False),
-                             ("gru", False), ("lstm", True)):
-        params = init_model(small_spec(family, capacity=capacity), 1)
-        bags = [rand_bag(rng, 4) for _ in range(6)]
-        feats = [np.stack([b[p] for b in bags]) for p in range(4)]
-        batched = models.batch_forward(params, feats)
-        for i, bag in enumerate(bags):
-            single = models.forward(params, bag)
-            assert batched.prediction.data[i] == pytest.approx(single.prediction, rel=1e-9)
-            for p, v in enumerate(single.intermediates):
-                assert batched.intermediates[p].data[i] == pytest.approx(v, rel=1e-9)
+def assert_close(batched, single):
+    np.testing.assert_allclose(batched, single, rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("family,capacity", [
-    ("deepset", False), ("attention", False), ("rnn", False), ("lstm", False),
-    ("gru", False), ("rnn", True), ("lstm", True), ("gru", True)])
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(VARIANTS), st.integers(1, 7), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_batch_equals_each_row_run_alone(variant, batch, n, seed):
+    family, capacity = variant
+    rng = np.random.default_rng(seed)
+    params = init_model(small_spec(family, capacity=capacity), seed % 7)
+    feats = [rng.normal(size=(batch, 6)) for _ in range(n)]
+    out = models.batch_forward(params, feats)
+    assert out.prediction.data.shape == (batch,)
+    assert len(out.intermediates) == (n if capacity else 0)
+    assert len(out.latents) == (1 if family in ("deepset", "attention") else n)
+    for i in range(batch):
+        alone = models.batch_forward(params, [x[i:i + 1] for x in feats])
+        assert_close(out.prediction.data[i], alone.prediction.data[0])
+        for a, b in zip(out.intermediates, alone.intermediates, strict=True):
+            assert_close(a.data[i], b.data[0])
+        for a, b in zip(out.latents, alone.latents, strict=True):
+            assert_close(a[i], b[0])
+        if family == "attention":
+            assert_close(out.weights[i], alone.weights[0])
+    assert (out.weights is not None) == (family == "attention")
+    if capacity:
+        total = sum(v.data for v in out.intermediates)
+        assert np.all(np.abs(out.prediction.data - total)
+                      <= 1e-9 * np.maximum(1.0, np.abs(out.prediction.data)))
+
+
+@pytest.mark.parametrize("family,capacity", VARIANTS)
 def test_detached_forward_equals_live_forward(family, capacity):
     rng = np.random.default_rng(21)
     params = init_model(small_spec(family, capacity=capacity), 3)
@@ -318,18 +337,17 @@ def grad_check_model(spec, seed, rng, tol=1e-5):
     label = 2.0
 
     def loss_value():
-        out = models.forward(params, bag)
-        return (out.prediction - label) ** 2
+        return (predict(params, bag) - label) ** 2
 
     def loss_tensor():
         from capnet import autodiff as ad
-        out = models.batch_forward(params, [bag[i:i + 1] for i in range(3)])
+        out = models.batch_forward(params, rows(bag))
         return ad.mse_loss(out.prediction, np.array([label]))
 
     # keep pre-abs decodes away from the kink; re-seed if a draw lands close
     if spec.capacity and spec.use_abs:
-        out = models.forward(params, bag)
-        if any(abs(v) < 1e-3 for v in out.intermediates):
+        out = models.batch_forward(params, rows(bag))
+        if any(abs(v.data[0]) < 1e-3 for v in out.intermediates):
             return grad_check_model(spec, seed + 100, rng, tol)
 
     loss = loss_tensor()

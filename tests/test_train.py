@@ -6,8 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from capnet import data, models, train
-from capnet.models import ForwardOutput
+from capnet import autodiff as ad
+from capnet import data, fileio, models, train
 
 
 def tiny_dataset(task="US", n=3, counts=(400, 80, 80), seed=0, **kw):
@@ -23,15 +23,18 @@ def tiny_config(ds_name="mem", family="deepset", capacity=False, **kw):
     return train.RunConfig(dataset=ds_name, model=model, **base)
 
 
-def test_compute_loss_hand_cases():
-    out = ForwardOutput(prediction=3.0, intermediates=[0.5, 1.5])
-    assert train.compute_loss(out, 5.0, 0.0) == pytest.approx(4.0)
-    assert train.compute_loss(out, 3.0, 2.0, 1.0) == pytest.approx(2 * 0.25)
-    assert train.compute_loss(ForwardOutput(2.0, [0.2, 0.9]), 2.0, 7.0, 1.0) == 0.0
+def test_batch_loss_hand_cases(monkeypatch):
+    def loss(prediction, intermediates, label, lam, tau=1.0):
+        out = models.BatchOutput(ad.Tensor(np.array([prediction])),
+                                 [ad.Tensor(np.array([v])) for v in intermediates], [])
+        monkeypatch.setattr(models, "batch_forward", lambda params, feats: out)
+        return float(train.batch_loss(None, None, np.array([label]), lam, tau)[0].data)
+
+    assert loss(3.0, [0.5, 1.5], 5.0, 0.0) == pytest.approx(4.0)
+    assert loss(3.0, [0.5, 1.5], 3.0, 2.0) == pytest.approx(2 * 0.25)
+    assert loss(2.0, [0.2, 0.9], 2.0, 7.0) == 0.0
     # penalty ignores models without intermediates
-    assert train.compute_loss(ForwardOutput(2.0, []), 1.0, 50.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        train.compute_loss(out, 1.0, -0.5)
+    assert loss(2.0, [], 1.0, 50.0) == pytest.approx(1.0)
 
 
 def test_batch_loss_decomposes_exactly():
@@ -88,12 +91,11 @@ def test_strong_regularization_caps_intermediates():
     cfg = tiny_config(family="gru", capacity=True, epochs=12, batch_size=100,
                       reg_lambda=100.0, reg_threshold=1.0)
     res = train.train_run(cfg, dataset=ds)
-    mags = []
-    for bag in ds.splits["val"][:100]:
-        feats = np.stack([data.featurize(c, "symbolic") for c in bag.classes])
-        out = models.forward(res.params, feats)
-        mags.extend(abs(v) for v in out.intermediates)
-    assert np.mean(mags) <= 1.1
+    bags = ds.splits["val"][:100]
+    feats = data.position_features(np.array([b.classes for b in bags]),
+                                   np.array([b.img_idx for b in bags]), "symbolic")
+    out = models.batch_forward(res.params, feats)
+    assert np.mean(np.abs([v.data for v in out.intermediates])) <= 1.1
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -159,9 +161,10 @@ def test_checkpoint_round_trip_reproduces_predictions(tmp_path):
     res = train.train_run(tiny_config(family="lstm", capacity=True),
                           out_dir=tmp_path, dataset=ds)
     params = train.load_params(tmp_path / "checkpoint.capn")
-    bag = np.stack([data.featurize(c, "symbolic") for c in ds.splits["test"][0].classes])
-    assert models.forward(params, bag).prediction == \
-        pytest.approx(models.forward(res.params, bag).prediction, rel=1e-15)
+    bag = ds.splits["test"][0]
+    feats = data.position_features(np.array([bag.classes]), np.array([bag.img_idx]), "symbolic")
+    assert models.batch_forward(params, feats).prediction.data[0] == \
+        pytest.approx(models.batch_forward(res.params, feats).prediction.data[0], rel=1e-15)
     assert params.spec == res.params.spec
 
 
@@ -177,6 +180,53 @@ def test_metrics_csv_format(tmp_path):
         assert np.isfinite(float(mse)) and np.isfinite(float(pen))
     timing = (tmp_path / "timing.csv").read_text().splitlines()
     assert timing[0] == "epoch,split,seconds"
+
+
+def pinned_result(out_dir):
+    spec = models.ModelSpec("gru", capacity=True, input_dim=10, embed_dim=8, hidden_dim=6,
+                            enc_layers=2, dec_layers=2)
+    cfg = train.RunConfig(dataset="/data/wtri", model=spec, epochs=2, seed=0)
+    history = [train.MetricsRecord(1, "train", 2.5, 0.125, 0.5),
+               train.MetricsRecord(1, "val", 1.0 / 3, 0.0, 0.25),
+               train.MetricsRecord(2, "train", 0.1, 1e-17, 1.0 / 7),
+               train.MetricsRecord(2, "val", 123456.789, 2.0, 3.0)]
+    return train.TrainResult(cfg, history, models.init_model(spec, 0), 123456.789, 2.0,
+                             out_dir=str(out_dir))
+
+
+def test_run_output_bytes_are_pinned(tmp_path):
+    """Digests of a run's files as written before they went through temp
+    files; the on-disk bytes must not change."""
+    train.write_outputs(pinned_result(tmp_path))
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in ("metrics.csv", "timing.csv", "checkpoint.capn", "checkpoint.json")}
+    assert digests == {
+        "metrics.csv": "e5768f02fb643ef678b274fa2ce9fe8717c682050eca2329077673d61f90cc93",
+        "timing.csv": "d00251a1af671bfbdefe02f3a68a523516046d5ffe83ac4e52df0480d07522f4",
+        "checkpoint.capn": "4bfe86268059bb6e6161d8ca49a84fba659254098f33947ded4e9a3011b257a5",
+        "checkpoint.json": "687c375d0dd95102dca40eefd74cf3e6fb0b03c1d1de4973c0e8db340022374e",
+    }
+
+
+def test_failed_write_keeps_previous_run_files(tmp_path, monkeypatch):
+    """A write that fails on the last of a run's four files changes none of
+    them and leaves no temp file."""
+    ds = tiny_dataset(counts=(100, 20, 20))
+    train.train_run(tiny_config(epochs=1, batch_size=50), out_dir=tmp_path, dataset=ds)
+    names = ("metrics.csv", "timing.csv", "checkpoint.capn", "checkpoint.json")
+    before = {f: (tmp_path / f).read_bytes() for f in names}
+
+    def refuse(path, *args, **kwargs):
+        if str(path).endswith("checkpoint.json.tmp"):
+            raise OSError("disk full")
+        return open(path, *args, **kwargs)
+    monkeypatch.setattr(fileio, "open", refuse, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        train.train_run(tiny_config(epochs=2, batch_size=50, seed=1), out_dir=tmp_path,
+                        dataset=ds)
+    monkeypatch.undo()
+    assert {f: (tmp_path / f).read_bytes() for f in names} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
 def test_multi_seed_aggregates():
