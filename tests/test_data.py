@@ -489,12 +489,25 @@ def test_group_by_size_and_position_features():
     assert len(feats) == 2
     assert feats[0].tolist() == [[0, 1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]]
     assert feats[1].tolist() == [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]]
+
+
+def test_position_features_symbolic_image_and_noise():
+    classes = np.array([[7, 0], [3, 7]])
+    img_idx = np.array([[5, 12], [41, 8]])
+    feats = data.position_features(classes, img_idx, "symbolic")
+    assert feats[0][0].tolist() == [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+    assert feats[1][1].tolist() == [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
     # noise is added to the one-hots, position by position
     noise = np.random.default_rng(0).uniform(-0.05, 0.05, size=(2, 2, 10))
     noisy = data.position_features(classes, img_idx, "symbolic", noise=noise)
     for pos in range(2):
         assert np.array_equal(noisy[pos], feats[pos] + noise[:, pos, :])
         assert 0 < np.abs(noisy[pos] - feats[pos]).max() <= 0.05
+    # image mode returns the pool's pixel rows, whatever the classes say
+    pool = synth_pool("train")
+    imgs = data.position_features(classes, img_idx, "image", pool=pool)
+    for pos in range(2):
+        assert np.array_equal(imgs[pos], pool.images[img_idx[:, pos]])
 
 
 def test_split_noise_is_deterministic_and_bounded():
