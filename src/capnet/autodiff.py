@@ -2,10 +2,16 @@
 
 Small numpy-backed engine: every operation builds a graph node holding a
 closure that propagates adjoints to its inputs. `Tensor.backward()` runs a
-topological sweep over that graph. Everything is float64; graphs are rebuilt
-per forward pass, so variable bag sizes are unproblematic. Operations whose
-inputs all track no gradient keep no parents and no closure, so a forward
-pass over `ParamStore.detached()` builds no graph at all.
+topological sweep over that graph's interior nodes. Everything is float64;
+graphs are rebuilt per forward pass, so variable bag sizes are
+unproblematic. Operations whose inputs all track no gradient keep no parents
+and no closure, so a forward pass over `ParamStore.detached()` builds no
+graph at all.
+
+`linear` (x @ w + b) is one node, not a product node and a sum node. A
+node's first gradient is stored as a float64 copy of the array it is handed,
+never that array itself, because several closures pass one array to more
+than one input; later gradients are added into that copy.
 """
 
 from __future__ import annotations
@@ -61,6 +67,11 @@ class Tensor:
         return self.data.item()
 
     def _accum(self, grad):
+        if self.grad is None and grad.shape == self.data.shape:
+            # A copy, never the array itself: `+`, `concat` slices and
+            # `_unbroadcast` hand one gradient array to several nodes.
+            self.grad = np.array(grad, dtype=np.float64, order="C")
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += grad
@@ -77,28 +88,32 @@ class Tensor:
             raise RuntimeError("backward() already ran on this node; re-run the forward pass")
         self._backward_done = True
 
-        # Iterative postorder: recurrences produce graphs deeper than the
-        # default recursion limit.
+        # Iterative postorder over interior nodes only: recurrences produce
+        # graphs deeper than the default recursion limit, and leaves have no
+        # closure to run. A `None` is pushed above each expanded node; when
+        # it comes off the stack, the node's parents are done. This order
+        # fixes the order in which gradients are summed, so changing it
+        # changes the bits of every trained model.
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [self] if self._backprop is not None else []
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
+            node = stack.pop()
+            if node is None:
+                topo.append(stack.pop())
                 continue
             if id(node) in visited:
                 continue
             visited.add(id(node))
-            stack.append((node, True))
+            stack.append(node)
+            stack.append(None)
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
+                if parent._backprop is not None and id(parent) not in visited:
+                    stack.append(parent)
 
         self._accum(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backprop is not None:
-                node._backprop(node.grad)
+            node._backprop(node.grad)
 
     # -- operator sugar ---------------------------------------------------
 
@@ -182,7 +197,9 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Row-wise affine map y = x @ w + b."""
+    """Row-wise affine map y = x @ w + b, recorded as one node."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError(f"linear: needs 2-D input and weight (x {x.data.shape}, w {w.data.shape})")
     if x.data.shape[1] != w.data.shape[0]:
         raise ValueError(
             f"linear: input has {x.data.shape[1]} columns but weight expects "
@@ -190,7 +207,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     if b.data.shape != (w.data.shape[1],):
         raise ValueError(f"linear: bias shape {b.data.shape} != ({w.data.shape[1]},)")
-    return matmul(x, w) + b
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y, _parents=(x, w, b))
+    def backprop(g):
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0))
+    out._backprop = backprop if out.requires_grad else None
+    return out
 
 
 _ACTIVATIONS = ("tanh", "sigmoid", "relu", "abs")

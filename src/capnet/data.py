@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import struct
 import threading
@@ -38,12 +39,13 @@ _EXACT_LABEL_MAX = 1 << 53
 
 # -- IDX files -------------------------------------------------------------
 
-def _idx_payload(data: bytes) -> tuple:
-    """Validate an IDX byte payload; return its magic and its uint8 values,
-    a view of `data` shaped N x (rows*cols) for images and N for labels."""
-    if len(data) < 4:
-        raise ValueError(f"IDX header truncated at byte {len(data)}: need 4-byte magic")
-    (magic,) = struct.unpack(">I", data[:4])
+def _idx_header(head: bytes, size: int) -> tuple:
+    """Validate an IDX header against the payload's length. `head` is the
+    payload's first 16 bytes (all of it when shorter) and `size` its length
+    in bytes; returns the magic, the dims and the header's length."""
+    if size < 4:
+        raise ValueError(f"IDX header truncated at byte {size}: need 4-byte magic")
+    (magic,) = struct.unpack(">I", head[:4])
     if magic == IDX_MAGIC_IMAGES:
         rank = 3
     elif magic == IDX_MAGIC_LABELS:
@@ -51,22 +53,17 @@ def _idx_payload(data: bytes) -> tuple:
     else:
         raise ValueError(f"bad IDX magic 0x{magic:08x} at byte 0")
     header = 4 + 4 * rank
-    if len(data) < header:
-        raise ValueError(f"IDX header truncated at byte {len(data)}: need {header} bytes")
-    dims = struct.unpack(f">{rank}I", data[4:header])
-    count = 1
-    for d in dims:
-        count *= d
+    if size < header:
+        raise ValueError(f"IDX header truncated at byte {size}: need {header} bytes")
+    dims = struct.unpack(f">{rank}I", head[4:header])
+    count = math.prod(dims)
     if count > _MAX_IDX_ELEMENTS:
         raise ValueError(f"IDX dimensions {dims} overflow at byte 4")
-    if len(data) != header + count:
+    if size != header + count:
         raise ValueError(
-            f"IDX payload ends at byte {len(data)}, header at byte 4 promises {header + count}"
+            f"IDX payload ends at byte {size}, header at byte 4 promises {header + count}"
         )
-    raw = np.frombuffer(data, dtype=np.uint8, offset=header)
-    if magic == IDX_MAGIC_IMAGES:
-        raw = raw.reshape(dims[0], dims[1] * dims[2])
-    return magic, raw
+    return magic, dims, header
 
 
 def _scale(raw: np.ndarray) -> np.ndarray:
@@ -79,18 +76,35 @@ def parse_idx(data: bytes) -> np.ndarray:
     Returns float images scaled to [0, 1] and flattened to N x (rows*cols)
     for the rank-3 image magic, or an int vector for the rank-1 label magic.
     """
-    magic, raw = _idx_payload(data)
+    magic, dims, header = _idx_header(data[:16], len(data))
+    raw = np.frombuffer(data, dtype=np.uint8, offset=header)
     if magic == IDX_MAGIC_LABELS:
         return raw.astype(np.int64)
-    return _scale(raw)
+    return _scale(raw.reshape(dims[0], dims[1] * dims[2]))
 
 
-def _read_idx(path, magic: int) -> np.ndarray:
+def _read_idx_window(path, magic: int, offset: int, count) -> np.ndarray:
+    """uint8 rows `offset` to `offset + count` of an IDX file (to its end
+    when `count` is None), N x (rows*cols) for images and N for labels.
+    Reads the header and that window only; the file's size is checked
+    against the header."""
     with open(path, "rb") as f:
-        found, raw = _idx_payload(f.read())
-    if found != magic:
-        raise ValueError(f"{path}: IDX magic 0x{found:08x}, expected 0x{magic:08x}")
-    return raw
+        found, dims, header = _idx_header(f.read(16), os.fstat(f.fileno()).st_size)
+        if found != magic:
+            raise ValueError(f"{path}: IDX magic 0x{found:08x}, expected 0x{magic:08x}")
+        rows, row = dims[0], math.prod(dims[1:])
+        if count is None:
+            count = rows - offset
+        if offset < 0 or count < 0 or offset + count > rows:
+            raise ValueError(f"{path}: window of {count} rows from row {offset} "
+                             f"is outside its {rows} rows")
+        f.seek(header + offset * row)
+        window = np.empty((count, row) if magic == IDX_MAGIC_IMAGES else count, dtype=np.uint8)
+        got = f.readinto(window)
+    if got != window.nbytes:
+        raise ValueError(f"{path}: IDX payload ends inside the window at byte "
+                         f"{header + offset * row + got}")
+    return window
 
 
 # Serialises the first scaling of every pool: `sweep --jobs N` threads share
@@ -137,15 +151,12 @@ class ImagePool:
 
 
 def build_pool(images_path, labels_path, split, offset=0, count=None) -> ImagePool:
-    """Pool of the `count` images from `offset` on in an IDX pair. It keeps a
-    copy of that window's raw bytes, not the whole file, and scales them on
+    """Pool of the `count` images from `offset` on in an IDX pair. It reads
+    only that window's raw bytes, not the whole file, and scales them on
     first use."""
-    images = _read_idx(images_path, IDX_MAGIC_IMAGES)
-    labels = _read_idx(labels_path, IDX_MAGIC_LABELS)
-    if count is None:
-        count = len(images) - offset
-    sel = slice(offset, offset + count)
-    return ImagePool(images[sel].copy(), labels[sel].astype(np.int64), split,
+    images = _read_idx_window(images_path, IDX_MAGIC_IMAGES, offset, count)
+    labels = _read_idx_window(labels_path, IDX_MAGIC_LABELS, offset, len(images))
+    return ImagePool(images, labels.astype(np.int64), split,
                      source=str(images_path), offset=offset, labels_source=str(labels_path))
 
 

@@ -71,10 +71,40 @@ def test_matmul_and_linear():
     b = RNG.normal(size=(2,))
     check_grads(lambda t, u: ad.reduce_sum(t @ u), [x, w])
     check_grads(lambda t, u, v: ad.reduce_sum(ad.linear(t, u, v)), [x, w, b])
+    # a constant input (the embedding's case) and a constant bias
+    check_grads(lambda u, v: ad.reduce_sum(ad.tanh(ad.linear(ad.Tensor(x), u, v))), [w, b])
+    check_grads(lambda t, u: ad.reduce_sum(ad.tanh(ad.linear(t, u, ad.Tensor(b)))), [x, w])
     with pytest.raises(ValueError):
         ad.matmul(ad.Tensor(x), ad.Tensor(np.zeros((4, 2))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bias shape"):
         ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(np.zeros(3)))
+    with pytest.raises(ValueError, match="weight expects"):
+        ad.linear(ad.Tensor(x), ad.Tensor(w.T), ad.Tensor(b))
+    with pytest.raises(ValueError, match="2-D"):
+        ad.linear(ad.Tensor(x[0]), ad.Tensor(w), ad.Tensor(b))
+
+
+def test_linear_is_one_node():
+    x, w, b = (ad.Tensor(RNG.normal(size=s), requires_grad=True) for s in ((4, 3), (3, 2), (2,)))
+    y = ad.linear(x, w, b)
+    assert len(y._parents) == 3
+    assert all(p is q for p, q in zip(y._parents, (x, w, b)))
+    assert np.array_equal(y.data, x.data @ w.data + b.data)
+
+
+def test_first_gradients_are_private_copies():
+    # `+` hands the same gradient array to both inputs; each must own its copy
+    a = ad.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    b = ad.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    ad.reduce_sum((a + b) * 3.0).backward()
+    assert a.grad is not b.grad
+    assert np.array_equal(a.grad, np.full((3, 2), 3.0))
+    a.grad[0, 0] = 99.0
+    assert np.array_equal(b.grad, np.full((3, 2), 3.0))
+    # the same tensor on both sides still collects both contributions
+    x = ad.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    ad.reduce_sum((x + x) * 3.0).backward()
+    assert np.array_equal(x.grad, np.full((3, 2), 6.0))
 
 
 def test_activations_match_finite_differences():

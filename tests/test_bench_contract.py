@@ -1,11 +1,17 @@
 """The benchmark's traced run (`capnet_bench/run.py --trace 1`) wraps capnet
 functions by module and name; renaming or deleting one of them breaks it.
-This installs and removes its tracer over the real package."""
+This installs and removes its tracer over the real package, and checks that
+its Tensor count is the size of the training graph."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
+
+from capnet import autodiff as ad
+from capnet import data, models, train
 
 TRACING = Path(__file__).resolve().parents[1] / "capnet_bench" / "tracing.py"
 
@@ -37,3 +43,33 @@ def test_bench_tracer_wraps_and_restores_every_traced_function():
     finally:
         tracer.uninstall()
     assert [t for t in targets if lookup(*t) is not before[t]] == []
+
+
+@pytest.mark.parametrize("family,capacity", [("gru", True), ("gru", False), ("lstm", True),
+                                             ("deepset", False), ("attention", False)])
+def test_tensor_count_is_the_training_graph_size(monkeypatch, family, capacity):
+    """`autodiff.nodes_per_batch` counts `Tensor.__init__` calls inside
+    `batch_loss`; every one of them must be a node of the loss's graph."""
+    ds = data.generate_dataset(data.DatasetSpec(task="US", set_size=5, counts=(20, 5, 5), seed=1))
+    _, classes, img_idx, labels = data.group_by_size(ds.splits["train"])[5]
+    feats = data.position_features(classes, img_idx, "symbolic")
+    params = models.init_model(models.ModelSpec(family, capacity=capacity), 0)
+    built = 0
+    init = ad.Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ad.Tensor, "__init__", counted)
+    loss = train.batch_loss(params, feats, labels, 0.5, 0.0)[0]
+    monkeypatch.undo()
+
+    leaves = {id(t) for _, t in params.items()}
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and id(node) not in leaves:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert built == len(seen)

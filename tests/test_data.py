@@ -1,6 +1,7 @@
 """Dataset layer: IDX parsing, generation, persistence, batch assembly."""
 
 import hashlib
+import io
 import json
 import struct
 import sys
@@ -115,6 +116,35 @@ def test_pool_window_is_bit_identical_to_eager_parse(tmp_path, draw):
     assert pool.images.dtype == want_images.dtype and pool.images.shape == want_images.shape
     assert pool.images.tobytes() == want_images.tobytes()
     assert pool.labels.dtype == want_labels.dtype and np.array_equal(pool.labels, want_labels)
+
+
+def test_pool_reads_only_its_window(tmp_path, monkeypatch):
+    """A pool reads the IDX headers and its own rows, never the whole file."""
+    pixels = np.arange(40 * 3 * 2, dtype=np.uint8).reshape(40, 3, 2)
+    ipath, lpath = tmp_path / "imgs", tmp_path / "labs"
+    ipath.write_bytes(make_idx_images(pixels))
+    lpath.write_bytes(make_idx_labels(np.arange(40) % 10))
+    read = []
+
+    class CountingReader(io.BufferedReader):
+        def read(self, size=-1):
+            out = super().read(size)
+            read.append(len(out))
+            return out
+
+        def readinto(self, buffer):
+            got = super().readinto(buffer)
+            read.append(got)
+            return got
+    monkeypatch.setattr(data, "open", lambda path, mode: CountingReader(io.FileIO(path, mode)),
+                        raising=False)
+    pool = data.build_pool(ipath, lpath, "val", offset=30, count=5)
+    # each file's header read asks for 16 bytes, the longer (image) header
+    assert sum(read) == (16 + 5 * 6) + (16 + 5)
+    assert pool.pixels.tobytes() == pixels[30:35].tobytes()
+    assert np.array_equal(pool.labels, [0, 1, 2, 3, 4])
+    with pytest.raises(ValueError, match="outside its 40 rows"):
+        data.build_pool(ipath, lpath, "val", offset=30, count=11)
 
 
 def synth_pool(split, count=60, dim=4, seed=0, offset=0):

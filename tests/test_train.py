@@ -246,3 +246,65 @@ def test_multi_seed_aggregates():
     assert three["val_mse"]["median"] in three["val_mse"]["per_seed"]
     with pytest.raises(ValueError):
         train.multi_seed(cfg, [], dataset=ds)
+
+
+def _reference_accum(self, grad):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += grad
+
+
+def _reference_backward(self):
+    """Postorder DFS over every node, leaves included, with (node, expanded)
+    entries on the stack."""
+    topo, visited, stack = [], set(), [(self, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+    self._accum(np.ones_like(self.data))
+    for node in reversed(topo):
+        if node._backprop is not None:
+            node._backprop(node.grad)
+
+
+def _reference_linear(x, w, b):
+    return ad.matmul(x, w) + b
+
+
+def test_training_matches_reference_engine_bit_for_bit(monkeypatch):
+    """Every variant trains to the same history and parameters on the engine
+    as on a reference with zero-filled first gradients, a DFS through the
+    leaves and `linear` built from `matmul` and `+`."""
+    ds = data.generate_dataset(data.DatasetSpec(task="WTri", set_size=(2, 3, 5),
+                                                counts=(60, 20, 20), seed=3, noise=0.1))
+    variants = [(f, False) for f in models.FAMILIES] + [(f, True) for f in models.SEQUENTIAL]
+
+    def train_all():
+        runs = []
+        for family, capacity in variants:
+            spec = models.ModelSpec(family, capacity=capacity, embed_dim=8, hidden_dim=8,
+                                    enc_layers=2, dec_layers=2)
+            cfg = train.RunConfig(dataset="mem", model=spec, batch_size=20, epochs=2,
+                                  reg_lambda=0.5 if capacity else 0.0, reg_threshold=0.0)
+            res = train.train_run(cfg, dataset=ds)
+            runs.append(([(r.epoch, r.split, r.mse, r.penalty) for r in res.history],
+                         res.params.state_dict()))
+        return runs
+
+    engine = train_all()
+    monkeypatch.setattr(ad.Tensor, "_accum", _reference_accum)
+    monkeypatch.setattr(ad.Tensor, "backward", _reference_backward)
+    monkeypatch.setattr(ad, "linear", _reference_linear)
+    reference = train_all()
+    for (family, capacity), (hist, state), (ref_hist, ref_state) in zip(variants, engine, reference):
+        assert hist == ref_hist, (family, capacity)
+        assert all(np.array_equal(state[k], ref_state[k]) for k in ref_state), (family, capacity)
