@@ -177,24 +177,8 @@ class Tensor:
     def __neg__(self):
         return self * -1.0
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 # -- primitive operations -------------------------------------------------
-
-def matmul(x: Tensor, w: Tensor) -> Tensor:
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {x.data.shape} @ {w.data.shape}")
-    out = Tensor(x.data @ w.data, _parents=(x, w))
-    def backprop(g):
-        if x.requires_grad:
-            x._accum(g @ w.data.T)
-        if w.requires_grad:
-            w._accum(x.data.T @ g)
-    out._backprop = backprop if out.requires_grad else None
-    return out
-
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Row-wise affine map y = x @ w + b, recorded as one node."""

@@ -160,18 +160,6 @@ def build_pool(images_path, labels_path, split, offset=0, count=None) -> ImagePo
                      source=str(images_path), offset=offset, labels_source=str(labels_path))
 
 
-def partition_pool(images_path, labels_path, counts: dict) -> dict:
-    """Carve one IDX pair into disjoint per-split pools, in SPLITS order."""
-    pools = {}
-    offset = 0
-    for split in SPLITS:
-        if split not in counts:
-            continue
-        pools[split] = build_pool(images_path, labels_path, split, offset=offset, count=counts[split])
-        offset += counts[split]
-    return pools
-
-
 # -- bags and specs --------------------------------------------------------
 
 @dataclass
@@ -295,12 +283,18 @@ def generate_dataset(spec: DatasetSpec, pools: dict = None) -> Dataset:
 
 
 def validate_labels(ds: Dataset):
-    """Re-check every stored label against the oracle (exact integers)."""
+    """Re-check every stored label against the oracle (exact integers), one
+    size group at a time; an error names the split's first bad bag."""
     for split, bags in ds.splits.items():
-        for i, bag in enumerate(bags):
-            expected = oracle.eval_task(ds.task, bag.classes)
-            if int(bag.label) != expected:
-                raise ValueError(f"{split} bag {i}: stored label {bag.label} != oracle {expected}")
+        first = None
+        for idx, classes, _, labels in group_by_size(bags).values():
+            expected = oracle.decompose_batch(ds.task, classes).sum(axis=1)
+            bad = np.flatnonzero(labels != expected)
+            if bad.size and (first is None or idx[bad[0]] < first[0]):
+                first = (int(idx[bad[0]]), int(expected[bad[0]]))
+        if first is not None:
+            i, expected = first
+            raise ValueError(f"{split} bag {i}: stored label {bags[i].label} != oracle {expected}")
 
 
 def check_split_purity(ds: Dataset):

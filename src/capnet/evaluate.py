@@ -107,26 +107,29 @@ class IntermediateReport:
     kind: str = "capacity"
 
 
-def _report_from(entries: list, kind: str) -> IntermediateReport:
-    deltas = [d for e in entries for d in e.deltas]
-    mae = float(np.mean(deltas)) if deltas else 0.0
-    return IntermediateReport(entries=entries, mae=mae, kind=kind)
-
-
 def _step_report(params, ds: data.Dataset, split: str, kind: str, step_values):
     """Score per-step values against the oracle's exact decomposition of
     each label in stored instance order; `step_values(params, feats)` gives
-    a batch's [B, n] values."""
+    a batch's [B, n] values.
+
+    The MAE is the mean of every |expected - predicted| laid out flat in bag
+    order, the same array a per-bag list of deltas would give.
+    """
     params = params.detached()
-    entries = [None] * len(ds.splits[split])
+    bags = ds.splits[split]
+    entries = [None] * len(bags)
+    sizes = np.fromiter((b.size for b in bags), dtype=np.int64, count=len(bags))
+    starts = np.cumsum(sizes) - sizes
+    deltas = np.empty(int(sizes.sum()))
     for rows, classes, feats, _ in split_batches(ds, split):
         predicted = step_values(params, feats)
-        for row, bag_i in enumerate(rows):
-            cls = [int(c) for c in classes[row]]
-            expected = oracle.decompose(ds.task, cls)
-            entries[bag_i] = IntermediateEntry(cls, [float(v) for v in expected],
-                                               [float(v) for v in predicted[row]])
-    return _report_from(entries, kind)
+        expected = oracle.decompose_batch(ds.task, classes).astype(np.float64)
+        deltas[starts[rows][:, None] + np.arange(classes.shape[1])] = np.abs(expected - predicted)
+        for bag_i, cls, exp, pred in zip(rows.tolist(), classes.tolist(),
+                                         expected.tolist(), predicted.tolist()):
+            entries[bag_i] = IntermediateEntry(cls, exp, pred)
+    mae = float(np.mean(deltas))
+    return IntermediateReport(entries=entries, mae=mae, kind=kind)
 
 
 def intermediate_mae(params, ds: data.Dataset, split: str) -> IntermediateReport:

@@ -26,6 +26,17 @@ def make_idx_labels(labels) -> bytes:
     return struct.pack(">II", 0x801, len(arr)) + arr.tobytes()
 
 
+def partition_pool(images_path, labels_path, counts: dict) -> dict:
+    """Carve one IDX pair into disjoint per-split pools, in SPLITS order."""
+    pools = {}
+    offset = 0
+    for split in data.SPLITS:
+        pools[split] = data.build_pool(images_path, labels_path, split,
+                                       offset=offset, count=counts[split])
+        offset += counts[split]
+    return pools
+
+
 def test_parse_idx_images_scales_and_flattens():
     imgs = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
     out = data.parse_idx(make_idx_images(imgs))
@@ -222,6 +233,27 @@ def test_product_task_never_samples_class_zero():
     data.validate_labels(ds)
 
 
+def test_validate_labels_names_the_first_bad_bag():
+    ds = data.generate_dataset(data.DatasetSpec(task="WTri", set_size=(2, 5),
+                                                counts=(40, 30, 30), seed=4))
+    data.validate_labels(ds)
+    val = ds.splits["val"]
+    first = next(i for i, b in enumerate(val) if b.size == 5)
+    later = next(i for i, b in enumerate(val) if i > first and b.size == 2)
+    truth = oracle.eval_task(ds.task, val[first].classes)
+    # the size-2 group is checked first, but the error names the earlier bag
+    val[later].label += 1
+    val[first].label = truth + 2
+    with pytest.raises(ValueError, match=f"val bag {first}: stored label {truth + 2} != oracle {truth}$"):
+        data.validate_labels(ds)
+    val[first].label = truth + 0.5  # a non-integer label is wrong too
+    with pytest.raises(ValueError, match=f"val bag {first}: stored label"):
+        data.validate_labels(ds)
+    val[first].classes[0] = 10
+    with pytest.raises(ValueError, match="outside"):
+        data.validate_labels(ds)
+
+
 def test_pair_task_records_pairs_in_manifest():
     spec = data.DatasetSpec(task="USS", set_size=4, counts=(100, 20, 20), seed=9)
     ds = data.generate_dataset(spec)
@@ -403,7 +435,7 @@ def test_partition_pool_keeps_global_offsets(tmp_path):
     ipath, lpath = tmp_path / "imgs", tmp_path / "labels"
     ipath.write_bytes(make_idx_images(imgs.reshape(40, 1, 1)))
     lpath.write_bytes(make_idx_labels(labels))
-    pools = data.partition_pool(ipath, lpath, {"train": 20, "val": 10, "test": 10})
+    pools = partition_pool(ipath, lpath, {"train": 20, "val": 10, "test": 10})
     assert pools["train"].offset == 0
     assert pools["val"].offset == 20
     assert pools["test"].offset == 30
@@ -420,7 +452,7 @@ def test_image_manifest_records_labels_file(tmp_path):
     ipath, lpath = tmp_path / "imgs", tmp_path / "labs"
     ipath.write_bytes(make_idx_images(imgs))
     lpath.write_bytes(make_idx_labels(labels))
-    pools = data.partition_pool(ipath, lpath, {"train": 20, "val": 10, "test": 10})
+    pools = partition_pool(ipath, lpath, {"train": 20, "val": 10, "test": 10})
     spec = data.DatasetSpec(task="UC", mode="image", set_size=2, counts=(30, 10, 10), seed=1)
     manifest = data.save_dataset(data.generate_dataset(spec, pools=pools), tmp_path / "ds")
     assert manifest["pools"]["val"] == {"source": str(ipath), "labels": str(lpath),
@@ -441,7 +473,7 @@ def image_pools(tmp_path, n=60, side=3):
     ipath, lpath = tmp_path / "imgs", tmp_path / "labs"
     ipath.write_bytes(make_idx_images(pixels))
     lpath.write_bytes(make_idx_labels(np.arange(n) % 10))
-    return data.partition_pool(ipath, lpath, {"train": n // 2, "val": n // 4, "test": n // 4})
+    return partition_pool(ipath, lpath, {"train": n // 2, "val": n // 4, "test": n // 4})
 
 
 def scaled(pools) -> dict:

@@ -245,6 +245,23 @@ def test_intermediate_mae_tracks_uniform_offset(us_ds, monkeypatch):
     assert report.mae == pytest.approx(0.5, rel=1e-12)
 
 
+def test_intermediate_mae_sums_deltas_flat_in_bag_order(monkeypatch):
+    """The MAE is bit for bit the mean of every entry's deltas, taken in bag
+    order; irrational per-step values spread over six decades make the
+    float sum depend on that order."""
+    ds = data.generate_dataset(
+        data.DatasetSpec(task="WTri", set_size=(3, 7, 12), counts=(20, 200, 20), seed=4))
+
+    def fake(params, feats):
+        cols = [SimpleNamespace(data=np.sqrt(np.argmax(f, axis=1) + 2.0) * 10.0 ** (i % 7 - 2))
+                for i, f in enumerate(feats)]
+        return SimpleNamespace(prediction=SimpleNamespace(data=sum(c.data for c in cols)),
+                               intermediates=cols, latents=[], weights=None)
+    monkeypatch.setattr(models, "batch_forward", fake)
+    report = evaluate.intermediate_mae(small("gru", capacity=True), ds, "val")
+    assert report.mae == float(np.mean([d for e in report.entries for d in e.deltas]))
+
+
 def test_intermediate_mae_rejects_baseline(us_ds):
     with pytest.raises(ValueError, match="capacity"):
         evaluate.intermediate_mae(small("gru"), us_ds, "val")
@@ -272,6 +289,21 @@ def test_pseudo_single_instance():
     for bag, entry in singles:
         assert entry.predicted == [pytest.approx(predict(params, bag))]
         assert entry.deltas == [abs(bag.label - entry.predicted[0])]
+
+
+def test_audit_scores_whole_batches_without_the_per_bag_oracle(mixed_ds, monkeypatch):
+    bags = mixed_ds.splits["val"]
+    want = [[float(v) for v in oracle.decompose(mixed_ds.task, b.classes)] for b in bags]
+
+    def per_bag(*args):
+        raise AssertionError("the audit called the per-bag oracle")
+    monkeypatch.setattr(oracle, "decompose", per_bag)
+    monkeypatch.setattr(oracle, "eval_task", per_bag)
+    capacity = evaluate.intermediate_mae(small("gru", capacity=True), mixed_ds, "val")
+    pseudo = evaluate.pseudo_report(small("deepset"), mixed_ds, "val")
+    for report in (capacity, pseudo):
+        assert [e.expected for e in report.entries] == want
+        assert [e.classes for e in report.entries] == [b.classes for b in bags]
 
 
 def test_pseudo_rejections(us_ds):

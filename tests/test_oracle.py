@@ -10,9 +10,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capnet import oracle
-from capnet.oracle import ClassMultiset, TaskSpec, decompose, eval_task, sample_pair_set
+from capnet.oracle import (ClassMultiset, TaskSpec, decompose, decompose_batch, eval_task,
+                           sample_pair_set)
 
 
 def brute_label(kind, classes, pairs=()):
@@ -44,6 +47,26 @@ def random_bag(task, rng, max_size=10):
     low, high = task.class_range
     n = int(rng.integers(1, max_size + 1))
     return [int(c) for c in rng.integers(low, high + 1, size=n)]
+
+
+ALL_PAIRS = [(a, b) for a in range(10) for b in range(a + 1, 10)]
+
+
+@st.composite
+def class_blocks(draw, max_n=24):
+    """A task and a [B, n] block of bags from its class range; USS gets a
+    drawn pair set, Mult bags stay at or under the datasets' cap of 16."""
+    kind = draw(st.sampled_from(oracle.TASK_KINDS))
+    pairs = ()
+    if kind == "USS":
+        pairs = tuple(sorted(draw(st.lists(st.sampled_from(ALL_PAIRS), unique=True, max_size=10))))
+    task = TaskSpec(kind, pair_set=pairs)
+    low, high = task.class_range
+    n = draw(st.integers(1, 16 if kind == "Mult" else max_n))
+    b = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(st.integers(low, high), min_size=n, max_size=n),
+                         min_size=b, max_size=b))
+    return task, np.array(rows, dtype=np.int64).reshape(b, n)
 
 
 def test_triangular_small_values():
@@ -97,6 +120,71 @@ def test_labels_are_monotone_under_instance_insertion():
             bag = random_bag(task, rng)
             extra = int(rng.integers(low, high + 1))
             assert eval_task(task, bag + [extra]) >= eval_task(task, bag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_blocks())
+def test_batch_decomposition_matches_scalar(block):
+    task, classes = block
+    added = decompose_batch(task, classes)
+    assert added.dtype == np.int64 and added.shape == classes.shape
+    for row, values in zip(classes.tolist(), added.tolist(), strict=True):
+        assert values == decompose(task, row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_blocks())
+def test_batch_prefix_sums_are_labels_and_added_values_nonnegative(block):
+    task, classes = block
+    added = decompose_batch(task, classes)
+    assert (added >= 0).all()
+    prefix = np.cumsum(added, axis=1)
+    for row, labels in zip(classes.tolist(), prefix.tolist()):
+        # telescoping: every prefix, the whole bag included, sums to its label
+        assert labels == [brute_label(task.kind, row[:i + 1], task.pair_set)
+                          for i in range(len(row))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_blocks(), st.data())
+def test_batch_labels_are_monotone_under_instance_insertion(block, draw):
+    task, classes = block
+    low, high = task.class_range
+    extra = draw.draw(st.integers(low, high))
+    at = draw.draw(st.integers(0, classes.shape[1]))
+    grown = np.insert(classes, at, extra, axis=1)
+    before = decompose_batch(task, classes).sum(axis=1)
+    after = decompose_batch(task, grown).sum(axis=1)
+    assert (after >= before).all()
+
+
+def test_batch_decomposition_edge_shapes():
+    us = TaskSpec("US")
+    assert decompose_batch(us, np.zeros((0, 5), dtype=np.int64)).shape == (0, 5)
+    assert decompose_batch(TaskSpec("Mult"), np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+    assert decompose_batch(us, [[8], [0]]).tolist() == [[8], [0]]
+    assert decompose_batch(us, [[8, 5, 8], [7, 7, 1]]).tolist() == [[8, 5, 0], [7, 0, 1]]
+    with pytest.raises(ValueError, match="B, n"):
+        decompose_batch(us, [8, 5, 8])
+
+
+@pytest.mark.parametrize("kind", oracle.TASK_KINDS)
+@pytest.mark.parametrize("bad", [10, -1])
+def test_batch_decomposition_rejects_unknown_classes(kind, bad):
+    task = TaskSpec(kind)
+    with pytest.raises(ValueError, match=f"class id {bad} outside"):
+        decompose_batch(task, [[3, 3, 3], [2, bad, 1]])
+
+
+def test_batch_product_rejects_class_zero_and_int64_overflow():
+    task = TaskSpec("Mult")
+    with pytest.raises(ValueError, match="class 0"):
+        decompose_batch(task, [[3, 2, 1], [3, 0, 2]])
+    # 9^19 < 2^62 is exact; 9^20 > 2^63 - 1 would wrap, so it is refused
+    assert decompose_batch(task, np.full((1, 19), 9)).sum() == 9 ** 19
+    assert decompose_batch(task, np.ones((1, 200), dtype=np.int64)).sum() == 1
+    with pytest.raises(ValueError, match="overflow"):
+        decompose_batch(task, np.vstack([np.ones(20, dtype=np.int64), np.full(20, 9)]))
 
 
 def test_unique_sum_ignores_repeats():

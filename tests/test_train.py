@@ -277,13 +277,21 @@ def _reference_backward(self):
 
 
 def _reference_linear(x, w, b):
-    return ad.matmul(x, w) + b
+    """The two-node linear: a local product node, then a broadcast `+`."""
+    product = ad.Tensor(x.data @ w.data, _parents=(x, w))
+    def backprop(g):
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
+    product._backprop = backprop if product.requires_grad else None
+    return product + b
 
 
 def test_training_matches_reference_engine_bit_for_bit(monkeypatch):
     """Every variant trains to the same history and parameters on the engine
     as on a reference with zero-filled first gradients, a DFS through the
-    leaves and `linear` built from `matmul` and `+`."""
+    leaves and `linear` built from a product node and `+`."""
     ds = data.generate_dataset(data.DatasetSpec(task="WTri", set_size=(2, 3, 5),
                                                 counts=(60, 20, 20), seed=3, noise=0.1))
     variants = [(f, False) for f in models.FAMILIES] + [(f, True) for f in models.SEQUENTIAL]
