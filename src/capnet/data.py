@@ -8,6 +8,13 @@ seed, per-split checksums. Bags are stored as JSON Lines, one per line:
 
 Features are not stored; they are derived from the classes (symbolic
 one-hots) or fetched from an image pool (image mode) at batch time.
+
+Generation runs in shards of 1024 bags, each with its own seeded stream.
+A symbolic shard of one set size draws its classes in one [shard, n] call;
+mixed set sizes and image mode draw bag by bag. Each shard is labelled by
+one `oracle.decompose_batch` pass per set size, summed over positions.
+Loading checks versions and checksums, then each split's records: bag
+count, set sizes, class ids, image indices and labels.
 """
 
 from __future__ import annotations
@@ -238,6 +245,12 @@ def generate_dataset(spec: DatasetSpec, pools: dict = None) -> Dataset:
     split's own pool. Deterministic given the spec's seed; generation runs
     in fixed-size shards with independently seeded streams, so shards could
     be produced concurrently without changing the output.
+
+    A symbolic shard of one set size draws all its classes in one
+    [shard, n] call, which consumes the stream exactly as one call per bag
+    does. Mixed set sizes and image mode interleave other draws between
+    bags, so they draw bag by bag. Every shard is labelled with one
+    `oracle.decompose_batch` pass per set size.
     """
     if spec.mode == "image":
         if pools is None or any(s not in pools for s in SPLITS):
@@ -260,26 +273,51 @@ def generate_dataset(spec: DatasetSpec, pools: dict = None) -> Dataset:
             rng = np.random.default_rng(
                 np.random.SeedSequence((spec.seed, split_idx, shard_start // _GENERATION_SHARD))
             )
-            for _ in range(shard_len):
-                n = sizes[rng.integers(len(sizes))] if len(sizes) > 1 else sizes[0]
-                classes = rng.integers(low, high + 1, size=n)
-                if pool is not None:
-                    img_idx = []
-                    for c in classes:
-                        candidates = pool.indices_for_class(c)
-                        if len(candidates) == 0:
-                            raise ValueError(f"class {c} absent from {split} pool")
-                        img_idx.append(int(candidates[rng.integers(len(candidates))]))
-                else:
-                    img_idx = [-1] * n
-                label = oracle.eval_task(task, classes)
-                bags.append(Bag([int(c) for c in classes], label, img_idx))
+            if pool is None and len(sizes) == 1:
+                classes = rng.integers(low, high + 1, size=(shard_len, sizes[0]))
+                labels = oracle.decompose_batch(task, classes).sum(axis=1).tolist()
+                bags += map(Bag, classes.tolist(), labels)
+            else:
+                shard = _draw_bags(rng, shard_len, sizes, low, high, pool, split)
+                _label_bags(task, shard)
+                bags += shard
         splits[split] = bags
 
     ds = Dataset(spec, task, splits, pools=pools)
     check_split_purity(ds)
     ds.manifest = _build_manifest(ds)
     return ds
+
+
+def _draw_bags(rng, count: int, sizes: tuple, low: int, high: int, pool, split: str) -> list:
+    """`count` unlabelled bags drawn one at a time: the set size when there
+    are several, the classes, then each instance's image."""
+    bags = []
+    for _ in range(count):
+        n = sizes[rng.integers(len(sizes))] if len(sizes) > 1 else sizes[0]
+        classes = rng.integers(low, high + 1, size=n).tolist()
+        if pool is not None:
+            img_idx = []
+            for c in classes:
+                candidates = pool.indices_for_class(c)
+                if len(candidates) == 0:
+                    raise ValueError(f"class {c} absent from {split} pool")
+                img_idx.append(int(candidates[rng.integers(len(candidates))]))
+        else:
+            img_idx = None
+        bags.append(Bag(classes, 0, img_idx))
+    return bags
+
+
+def _label_bags(task: oracle.TaskSpec, bags: list):
+    """Set every bag's label, one batch oracle pass per set size."""
+    by_size = {}
+    for bag in bags:
+        by_size.setdefault(bag.size, []).append(bag)
+    for group in by_size.values():
+        labels = oracle.decompose_batch(task, [b.classes for b in group]).sum(axis=1)
+        for bag, label in zip(group, labels.tolist()):
+            bag.label = label
 
 
 def validate_labels(ds: Dataset):
@@ -356,8 +394,11 @@ def _build_manifest(ds: Dataset) -> dict:
 
 
 def _bag_line(bag: Bag) -> str:
-    record = {"classes": bag.classes, "img_idx": bag.img_idx, "label": bag.label}
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    """One JSONL record, the bytes `json.dumps(record, sort_keys=True,
+    separators=(",", ":"))` gives for int lists and a finite label,
+    formatted directly."""
+    return (f'{{"classes":[{",".join(map(str, bag.classes))}],'
+            f'"img_idx":[{",".join(map(str, bag.img_idx))}],"label":{bag.label}}}')
 
 
 def save_dataset(ds: Dataset, out_dir) -> dict:
@@ -420,19 +461,83 @@ def load_dataset(path, pools: dict = None) -> Dataset:
         if digest != manifest["checksums"][split]:
             raise ValueError(f"checksum failure for {split}.jsonl")
         bags = []
-        for lineno, line in enumerate(payload.decode().splitlines(), start=1):
+        lines = payload.decode().splitlines()
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
                 bags.append(Bag(record["classes"], record["label"], record["img_idx"]))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{split}.jsonl line {lineno}: {exc}") from exc
+        _check_records(split, bags, lines, spec, task, pools[split] if pools else None)
         splits[split] = bags
 
     ds = Dataset(spec, task, splits, pools=pools, manifest=manifest)
     check_split_purity(ds)
     return ds
+
+
+def _within(lists: list, allowed: range) -> bool:
+    """Whether every value in `lists` is an int in `allowed`, checked on the
+    set of distinct values."""
+    try:
+        values = set().union(*lists)
+    except TypeError:  # an unhashable value, such as a nested list
+        return False
+    return not values or (set(map(type, values)) <= {int}
+                          and allowed.start <= min(values) and max(values) < allowed.stop)
+
+
+def _record_fault(bag: Bag, sizes: tuple, class_ids: range, rows: range) -> str:
+    """Why a loaded bag is not a record of its dataset, or "" when it is."""
+    if bag.size not in sizes:
+        return f"set size {bag.size} is not one of {sizes}"
+    if not all(c in class_ids for c in bag.classes):
+        return f"classes {bag.classes!r} hold an id outside {class_ids}"
+    if not all(i in rows for i in bag.img_idx):
+        return f"img_idx {bag.img_idx!r} hold an index outside {rows}"
+    y = bag.label
+    if not (isinstance(y, (int, float)) and -_EXACT_LABEL_MAX <= y <= _EXACT_LABEL_MAX
+            and y % 1 == 0):
+        return f"label {y!r} is not an integer within +-2^53"
+    return ""
+
+
+def _check_records(split: str, bags: list, lines: list, spec: DatasetSpec,
+                   task: oracle.TaskSpec, pool: ImagePool):
+    """Reject a loaded split whose records parse but are not bags of this
+    dataset: a bag count other than the manifest's, a set size the spec
+    does not list, class ids outside the task's range, image indices other
+    than -1 (symbolic) or a row of the split's pool (image mode), or a label
+    that is not an integer of magnitude at most 2^53. A split passes on
+    whole-split summaries: its set of sizes, the types, min and max of its
+    distinct class ids and image indices, and those of its labels. Only a
+    split that fails them is scanned bag by bag, so the error names its
+    first bad line."""
+    count = spec.counts[SPLITS.index(split)]
+    if len(bags) != count:
+        raise ValueError(f"{split}.jsonl holds {len(bags)} bags, the manifest says {count}")
+    classes = [b.classes for b in bags]
+    img_idx = [b.img_idx for b in bags]
+    labels = [b.label for b in bags]
+    class_ids = range(task.class_range[0], task.class_range[1] + 1)
+    if pool is None:  # every symbolic img_idx is all -1; counting those lists is cheapest
+        rows = range(-1, 0)
+        images_ok = sum(map(img_idx.count, ([-1] * n for n in spec.sizes()))) == len(bags)
+    else:
+        rows = range(len(pool.labels))
+        images_ok = _within(img_idx, rows)
+    if (images_ok and set(map(len, classes)) <= set(spec.sizes())
+            and _within(classes, class_ids) and set(map(type, labels)) <= {int}
+            and (not labels or -_EXACT_LABEL_MAX <= min(labels)
+                 and max(labels) <= _EXACT_LABEL_MAX)):
+        return
+    for i, bag in enumerate(bags):
+        fault = _record_fault(bag, spec.sizes(), class_ids, rows)
+        if fault:
+            lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][i]
+            raise ValueError(f"{split}.jsonl line {lineno}: {fault}")
 
 
 def data_root() -> str:

@@ -4,9 +4,12 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capnet import autodiff, cli, data, models, train
 from test_data import make_idx_images, make_idx_labels
@@ -142,6 +145,135 @@ def test_train_missing_dataset(tmp_path, capsys):
     cfg = train_config(tmp_path, str(tmp_path / "nowhere"))
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "dataset not found" in capsys.readouterr().err
+
+
+def rewrite_line(ds_path, split, lineno, text, fix_checksum=True):
+    """Put `text` in place of one line of a split file; unless told not to,
+    update the manifest's checksum so the line reaches the record parser."""
+    path = os.path.join(ds_path, f"{split}.jsonl")
+    with open(path) as f:
+        lines = f.read().splitlines()
+    lines[lineno - 1] = text
+    payload = ("\n".join(lines) + "\n").encode()
+    with open(path, "wb") as f:
+        f.write(payload)
+    if fix_checksum:
+        manifest_path = os.path.join(ds_path, "manifest.json")
+        with open(manifest_path) as f:
+            manifest = json.load(f)
+        manifest["checksums"][split] = hashlib.sha256(payload).hexdigest()
+        write_json(manifest_path, manifest)
+
+
+@pytest.mark.parametrize("line, why", [
+    ("[1,2]", "list indices"),
+    ('"str"', "string indices"),
+    ('{"classes":5,"img_idx":[-1,-1,-1],"label":3}', "len"),
+    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1]}', "'label'"),
+    ('{"classes":[30,1,2],"img_idx":[-1,-1,-1],"label":33}', r"classes \[30, 1, 2\] hold an id outside"),
+    ('{"classes":[-1,1,2],"img_idx":[-1,-1,-1],"label":3}', r"outside range\(0, 10\)"),
+    ('{"classes":[1,"2",3],"img_idx":[-1,-1,-1],"label":6}', r"outside range\(0, 10\)"),
+    ('{"classes":[1,[2],3],"img_idx":[-1,-1,-1],"label":6}', r"outside range\(0, 10\)"),
+    ('{"classes":[1,2.5,3],"img_idx":[-1,-1,-1],"label":6}', r"outside range\(0, 10\)"),
+    ('{"classes":[1,2],"img_idx":[-1,-1],"label":3}', r"set size 2 is not one of \(3,\)"),
+    ('{"classes":[1,2,3],"img_idx":[-1,-1,4],"label":6}', r"img_idx \[-1, -1, 4\]"),
+    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":6.5}', "label 6.5 is not an integer"),
+    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":NaN}', "label nan"),
+    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":null}', "label None"),
+    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":9007199254740993}', "label 9007"),
+])
+def test_malformed_records_name_their_line_and_exit_2(tmp_path, capsys, line, why):
+    ds = dataset_dir(tmp_path, counts=(20, 5, 5))
+    rewrite_line(ds, "val", 3, line)
+    with pytest.raises(ValueError, match=f"^val.jsonl line 3: .*{why}"):
+        data.load_dataset(ds)
+    assert cli.main(["train", "--config", train_config(tmp_path, ds),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "val.jsonl line 3" in capsys.readouterr().err
+
+
+def test_split_with_missing_bags_exits_2(tmp_path):
+    ds = dataset_dir(tmp_path, counts=(20, 5, 5))
+    path = os.path.join(ds, "test.jsonl")
+    with open(path) as f:
+        first = f.readline()
+    with open(path, "w") as f:
+        f.write(first)
+    rewrite_line(ds, "test", 1, first.strip())  # fixes the checksum; the manifest still counts 5
+    with pytest.raises(ValueError, match="test.jsonl holds 1 bags, the manifest says 5"):
+        data.load_dataset(ds)
+    assert cli.main(["train", "--config", train_config(tmp_path, ds),
+                     "--out", str(tmp_path / "o")]) == 2
+
+
+def test_image_index_outside_its_pool_is_rejected(tmp_path):
+    cfg = image_config(tmp_path, {"train": (0, 30), "val": (30, 15), "test": (45, 15)})
+    ds = str(tmp_path / "ds")
+    assert cli.main(["generate", "--config", cfg, "--out", ds]) == 0
+    with open(os.path.join(ds, "val.jsonl")) as f:
+        record = json.loads(f.readline())
+    record["img_idx"][0] = 15  # the val pool holds rows 0..14
+    rewrite_line(ds, "val", 1, json.dumps(record))
+    with pytest.raises(ValueError, match=r"^val.jsonl line 1: img_idx \[15, .*range\(0, 15\)"):
+        data.load_dataset(ds)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def damaged(draw, line: str) -> str:
+    """A record line cut short, replaced, or with one key, field or element
+    swapped for arbitrary JSON."""
+    kind = draw(st.sampled_from(["cut", "record", "drop", "field", "element"]))
+    if kind == "cut":
+        return line[:draw(st.integers(0, len(line) - 1))]
+    if kind == "record":
+        return json.dumps(draw(_JSON))
+    record = json.loads(line)
+    key = draw(st.sampled_from(sorted(record)))
+    if kind == "drop":
+        del record[key]
+    elif kind == "field":
+        record[key] = draw(_JSON)
+    else:
+        values = record[draw(st.sampled_from(["classes", "img_idx"]))]
+        values[draw(st.integers(0, len(values) - 1))] = draw(_JSON)
+    return json.dumps(record)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_damaged_split_files_load_or_exit_2(tmp_path, draw):
+    """Fuzz the JSONL split parser: a damaged dataset either loads or raises
+    ValueError, and `capnet train` on it exits 0 or 2, never 3."""
+    base = tmp_path / "base"
+    if not base.exists():
+        dataset_dir(tmp_path, name="base", counts=(20, 5, 5))
+    ds, out = tmp_path / "ds", tmp_path / "run"
+    shutil.rmtree(ds, ignore_errors=True)
+    shutil.rmtree(out, ignore_errors=True)
+    shutil.copytree(base, ds)
+    split = draw.draw(st.sampled_from(data.SPLITS))
+    lineno = draw.draw(st.integers(1, 5))
+    with open(ds / f"{split}.jsonl") as f:
+        line = f.read().splitlines()[lineno - 1]
+    text = draw.draw(damaged(line))
+    fix_checksum = draw.draw(st.booleans())
+    rewrite_line(ds, split, lineno, text, fix_checksum=fix_checksum)
+    try:
+        data.load_dataset(ds)
+    except ValueError as exc:
+        assert text == line or fix_checksum or "checksum" in str(exc)
+    else:
+        assert text == line or fix_checksum
+    cfg = train_config(tmp_path, str(ds), epochs=1, batch_size=10)
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) in (0, 2)
 
 
 def test_train_rejects_penalty_on_baseline(tmp_path, capsys):

@@ -305,6 +305,65 @@ def test_saved_bytes_are_pinned(tmp_path):
         "15456f08ae356c24700956f43e2705423cd7cc0f7a372ce532074ba25955f2de"
 
 
+_PINNED_SPECS = {
+    "US": data.DatasetSpec(task="US", set_size=5, counts=(2500, 300, 300), seed=3),
+    "Mult": data.DatasetSpec(task="Mult", set_size=4, counts=(2100, 200, 200), seed=7),
+    "USS": data.DatasetSpec(task="USS", set_size=6, counts=(2200, 200, 200), seed=9),
+    "mixed": data.DatasetSpec(task="WTri", set_size=(3, 7), counts=(2100, 100, 100), seed=5),
+    "image": data.DatasetSpec(task="WTri", mode="image", set_size=3, counts=(2100, 40, 40),
+                              seed=11),
+}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("US", "3ae4f76fe5eec207166671ad97b0a49b07a185b1c39206605fbcba0d88f38710"),
+    ("Mult", "267aad7627c9361b82185146e4e1bf73b4a0630efa469119ac58baeee8cd4b9e"),
+    ("USS", "00a16f08bd5e4226f09f86943e359e33ad37c7b2882762c43b0248e712449575"),
+    ("mixed", "47aaf7407619d8bfe673baade04f6eab450ed3f8fc2a71a23b8c3fdf6b04f1e3"),
+    ("image", "d30f3bbcff40073b4a5a6574f136dcfdfe310f9cfc3b382590fdc84e281ba24d"),
+])
+def test_multi_shard_bytes_are_pinned(tmp_path, name, digest):
+    """Digests of datasets that span several generation shards, written
+    when every bag was drawn and labelled one at a time. The image manifest
+    names its temporary IDX files, so only its split files are pinned."""
+    spec = _PINNED_SPECS[name]
+    pools = image_pools(tmp_path) if spec.mode == "image" else None
+    data.save_dataset(data.generate_dataset(spec, pools=pools), tmp_path / "ds")
+    names = ["train.jsonl", "val.jsonl", "test.jsonl"] + ([] if pools else ["manifest.json"])
+    sha = hashlib.sha256()
+    for f in names:
+        sha.update((tmp_path / "ds" / f).read_bytes())
+    assert sha.hexdigest() == digest
+
+
+def test_generation_labels_without_the_per_bag_oracle(tmp_path, monkeypatch):
+    def per_bag(*args):
+        raise AssertionError("generation called the per-bag oracle")
+    monkeypatch.setattr(oracle, "eval_task", per_bag)
+    monkeypatch.setattr(oracle, "decompose", per_bag)
+    pools = image_pools(tmp_path)
+    for spec in _PINNED_SPECS.values():
+        ds = data.generate_dataset(spec, pools=pools if spec.mode == "image" else None)
+        # Python ints, so the line writer prints them as json.dumps would
+        assert all(type(b.label) is int for bags in ds.splits.values() for b in bags)
+
+
+_JSON_INTS = st.one_of(st.integers(-10, 10), st.integers(-2**70, 2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_JSON_INTS, max_size=6).flatmap(
+           lambda classes: st.tuples(st.just(classes),
+                                     st.lists(_JSON_INTS, min_size=len(classes),
+                                              max_size=len(classes)))),
+       st.one_of(_JSON_INTS, st.floats(allow_nan=False, allow_infinity=False)))
+def test_bag_line_matches_sorted_json_dumps(lists, label):
+    classes, img_idx = lists
+    record = {"classes": classes, "img_idx": img_idx, "label": label}
+    assert data._bag_line(data.Bag(classes, label, img_idx)) == \
+        json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 def test_failed_save_keeps_previous_dataset(tmp_path, monkeypatch):
     old = data.generate_dataset(data.DatasetSpec(task="US", set_size=3, counts=(20, 5, 5), seed=0))
     data.save_dataset(old, tmp_path)
