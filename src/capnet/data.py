@@ -421,15 +421,67 @@ def save_dataset(ds: Dataset, out_dir) -> dict:
     return manifest
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # bool is not a count, a size or a seed
+
+
+def _is_int_list(v, length=None) -> bool:
+    return (isinstance(v, list) and all(map(_is_int, v))
+            and (length is None or len(v) == length))
+
+
+def _per_split(v, check) -> bool:
+    return isinstance(v, dict) and all(check(v.get(s)) for s in SPLITS)
+
+
+def _is_pool_entry(v) -> bool:
+    return (isinstance(v, dict) and isinstance(v.get("source"), str)
+            and isinstance(v.get("labels", ""), str)  # a missing one has its own error
+            and _is_int(v.get("offset")) and _is_int(v.get("count")))
+
+
+# field -> (whether it may be absent, type check, what it must be); `task`
+# and `mode` are names that DatasetSpec looks up, and reject any other value
+_MANIFEST_FIELDS = {
+    "set_size": (False, lambda v: _is_int(v) or (_is_int_list(v) and len(v) > 0),
+                 "an int or a non-empty list of ints"),
+    "counts": (False, lambda v: _per_split(v, _is_int), "an int for each split"),
+    "seed": (False, _is_int, "an int"),
+    "noise": (True, lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+    "pair_count": (True, _is_int, "an int"),
+    "pair_set": (False, lambda v: isinstance(v, list) and all(_is_int_list(p, 2) for p in v),
+                 "a list of class pairs"),
+    "checksums": (False, lambda v: _per_split(v, lambda c: isinstance(c, str)),
+                  "a sha256 hex digest for each split"),
+    "pools": (True, lambda v: v is None or _per_split(v, _is_pool_entry),
+              "null or a source, offset and count for each split"),
+}
+
+
+def _check_manifest(manifest):
+    """Reject a manifest whose fields have the wrong type, naming the field."""
+    for name, (optional, check, want) in _MANIFEST_FIELDS.items():
+        if name not in manifest:
+            if optional:
+                continue
+            raise ValueError(f"manifest.json lacks the {name!r} field")
+        if not check(manifest[name]):
+            raise ValueError(f"manifest.json field {name!r} is {manifest[name]!r}, "
+                             f"expected {want}")
+
+
 def load_dataset(path, pools: dict = None) -> Dataset:
     """Load a saved dataset, verifying versions and per-split checksums."""
     with open(os.path.join(path, "manifest.json")) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest.json holds {type(manifest).__name__}, not an object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported dataset format version {manifest.get('format_version')}")
     if manifest.get("oracle_version") != ORACLE_VERSION:
         raise ValueError(f"dataset was labelled by oracle version {manifest.get('oracle_version')}, "
                          f"this build expects {ORACLE_VERSION}")
+    _check_manifest(manifest)
 
     spec = DatasetSpec(
         task=manifest["task"],
@@ -444,6 +496,8 @@ def load_dataset(path, pools: dict = None) -> Dataset:
     task = oracle.TaskSpec(manifest["task"], pair_set=tuple(tuple(p) for p in manifest["pair_set"]))
 
     if spec.mode == "image" and pools is None:
+        if manifest.get("pools") is None:
+            raise ValueError("manifest.json field 'pools' is empty in image mode")
         pools = {}
         for split, info in manifest["pools"].items():
             if "labels" not in info:

@@ -6,6 +6,12 @@ split reproduces results bit for bit. Instance order is the stored order
 unless a routine explicitly permutes it (permutation sensitivity). Every
 routine runs on `params.detached()`, so evaluation builds no autodiff graph
 and leaves the live parameters' gradients alone.
+
+On image datasets a routine call embeds each distinct image its split uses
+once, into a table, and every forward pass (each permuted pass included)
+gathers embedded rows from it instead of embedding pixels per position.
+A table is built afresh for every call: training updates the parameter
+arrays in place.
 """
 
 from __future__ import annotations
@@ -20,31 +26,62 @@ from . import data, fileio, models, oracle
 EVAL_BATCH = 1000
 
 
-def split_batches(ds: data.Dataset, split: str, rng=None, groups: dict = None):
-    """Yield (rows, classes, feats, labels) for each evaluation batch.
+def split_inputs(params, ds: data.Dataset, split: str) -> tuple:
+    """(groups, table) for walking `split` with `split_batches`.
 
-    Bags are grouped by size, smallest first, and cut into batches of
-    EVAL_BATCH in stored order; `rows` are the bags' positions in the split.
-    With an `rng`, each size group's instance orders are reshuffled first,
-    one `data.permute_instances` draw per group. A caller that walks the
-    split more than once passes its `data.group_by_size` as `groups`.
+    `groups` is the split's `data.group_by_size`. For an image dataset,
+    `table` holds `models.embed` of each distinct image the split uses, one
+    row per image, and each group's img_idx becomes its images' table rows;
+    for a symbolic dataset `table` is None. `params` should be detached.
     """
     bags = ds.splits[split]
     if not bags:
         raise ValueError(f"split {split!r} is empty")
-    if groups is None:
-        groups = data.group_by_size(bags)
+    groups = data.group_by_size(bags)
+    if ds.spec.mode != "image":
+        return groups, None
+    used = np.unique(np.concatenate([img_idx.ravel() for _, _, img_idx, _ in groups.values()]))
+    table = models.embed(params, ds.pools[split].images[used]).data
+    groups = {n: (idx, classes, np.searchsorted(used, img_idx), labels)
+              for n, (idx, classes, img_idx, labels) in groups.items()}
+    return groups, table
+
+
+def split_batches(params, ds: data.Dataset, split: str, rng=None, inputs: tuple = None):
+    """Yield (rows, classes, feats, labels) for each evaluation batch; run
+    a batch's feats through `_forward`.
+
+    Bags are grouped by size, smallest first, and cut into batches of
+    EVAL_BATCH in stored order; `rows` are the bags' positions in the split.
+    With an `rng`, each size group's instance orders are reshuffled first,
+    one `data.permute_instances` draw per group. Symbolic feats are the
+    instances' features; image feats are rows of the split's embedding
+    table. A caller that walks the split more than once passes its
+    `split_inputs` as `inputs`, so the split is grouped and embedded once.
+    """
+    groups, table = inputs if inputs is not None else split_inputs(params, ds, split)
     noise = data.split_noise(ds, split)
-    pool = ds.pools[split] if ds.pools else None
     for n, (idx, classes, img_idx, labels) in groups.items():
         gnoise = noise[idx][:, :n, :] if noise is not None else None
         if rng is not None:
             classes, img_idx, gnoise = data.permute_instances(rng, classes, img_idx, gnoise)
         for s in range(0, len(idx), EVAL_BATCH):
             sl = slice(s, s + EVAL_BATCH)
-            feats = data.position_features(classes[sl], img_idx[sl], ds.spec.mode, pool,
-                                           gnoise[sl] if gnoise is not None else None)
+            if table is None:
+                feats = data.position_features(classes[sl], img_idx[sl], ds.spec.mode,
+                                               noise=gnoise[sl] if gnoise is not None else None)
+            else:
+                feats = [table[img_idx[sl, pos]] for pos in range(n)]
             yield idx[sl], classes[sl], feats, labels[sl]
+
+
+def _forward(params, ds: data.Dataset, feats: list) -> models.BatchOutput:
+    """`models.batch_forward` on one `split_batches` batch of `ds`. Image
+    feats are embedded already; symbolic feats take the same call as in
+    training."""
+    if ds.spec.mode == "image":
+        return models.batch_forward(params, feats, embedded=True)
+    return models.batch_forward(params, feats)
 
 
 def split_mse_and_penalty(params, ds: data.Dataset, split: str,
@@ -53,8 +90,8 @@ def split_mse_and_penalty(params, ds: data.Dataset, split: str,
     params = params.detached()
     sq_sum = 0.0
     pen_sum = 0.0
-    for _, _, feats, labels in split_batches(ds, split):
-        out = models.batch_forward(params, feats)
+    for _, _, feats, labels in split_batches(params, ds, split):
+        out = _forward(params, ds, feats)
         err = out.prediction.data - labels
         sq_sum += float(err @ err)
         if reg_lambda > 0 and out.intermediates:
@@ -75,8 +112,8 @@ def split_predictions(params, ds: data.Dataset, split: str) -> np.ndarray:
     """Model predictions aligned with the split's bag order."""
     params = params.detached()
     preds = np.empty(len(ds.splits[split]))
-    for rows, _, feats, _ in split_batches(ds, split):
-        preds[rows] = models.batch_forward(params, feats).prediction.data
+    for rows, _, feats, _ in split_batches(params, ds, split):
+        preds[rows] = _forward(params, ds, feats).prediction.data
     return preds
 
 
@@ -109,8 +146,8 @@ class IntermediateReport:
 
 def _step_report(params, ds: data.Dataset, split: str, kind: str, step_values):
     """Score per-step values against the oracle's exact decomposition of
-    each label in stored instance order; `step_values(params, feats)` gives
-    a batch's [B, n] values.
+    each label in stored instance order; `step_values(params, ds, feats)`
+    gives a batch's [B, n] values.
 
     The MAE is the mean of every |expected - predicted| laid out flat in bag
     order, the same array a per-bag list of deltas would give.
@@ -121,8 +158,8 @@ def _step_report(params, ds: data.Dataset, split: str, kind: str, step_values):
     sizes = np.fromiter((b.size for b in bags), dtype=np.int64, count=len(bags))
     starts = np.cumsum(sizes) - sizes
     deltas = np.empty(int(sizes.sum()))
-    for rows, classes, feats, _ in split_batches(ds, split):
-        predicted = step_values(params, feats)
+    for rows, classes, feats, _ in split_batches(params, ds, split):
+        predicted = step_values(params, ds, feats)
         expected = oracle.decompose_batch(ds.task, classes).astype(np.float64)
         deltas[starts[rows][:, None] + np.arange(classes.shape[1])] = np.abs(expected - predicted)
         for bag_i, cls, exp, pred in zip(rows.tolist(), classes.tolist(),
@@ -138,18 +175,18 @@ def intermediate_mae(params, ds: data.Dataset, split: str) -> IntermediateReport
     if not params.spec.capacity:
         raise ValueError("intermediate_mae needs a capacity model; "
                          "use pseudo_report for baselines")
-    return _step_report(params, ds, split, "capacity", lambda p, feats: np.stack(
-        [v.data for v in models.batch_forward(p, feats).intermediates], axis=1))
+    return _step_report(params, ds, split, "capacity", lambda p, d, feats: np.stack(
+        [v.data for v in _forward(p, d, feats).intermediates], axis=1))
 
 
-def _prefix_predictions(params, feats: list) -> np.ndarray:
+def _prefix_predictions(params, ds: data.Dataset, feats: list) -> np.ndarray:
     """decode(prefix_i) for i = 1..n; returns [n, batch]."""
     spec = params.spec
     if spec.family in models.SEQUENTIAL:
-        out = models.batch_forward(params, feats)
+        out = _forward(params, ds, feats)
         return np.stack([models.decode_state(params, h) for h in out.latents], axis=0)
     return np.stack(
-        [models.batch_forward(params, feats[:i + 1]).prediction.data
+        [_forward(params, ds, feats[:i + 1]).prediction.data
          for i in range(len(feats))], axis=0)
 
 
@@ -162,8 +199,8 @@ def pseudo_report(params, ds: data.Dataset, split: str) -> IntermediateReport:
     """
     if params.spec.capacity:
         raise ValueError("pseudo_report is for non-capacity models")
-    return _step_report(params, ds, split, "pseudo", lambda p, feats: np.diff(
-        _prefix_predictions(p, feats), axis=0, prepend=0.0).T)
+    return _step_report(params, ds, split, "pseudo", lambda p, d, feats: np.diff(
+        _prefix_predictions(p, d, feats), axis=0, prepend=0.0).T)
 
 
 def write_intermediate_jsonl(path, report: IntermediateReport):
@@ -181,13 +218,13 @@ def permutation_sensitivity(params, ds: data.Dataset, split: str,
     if k < 2:
         raise ValueError("permutation sensitivity needs k >= 2 passes")
     params = params.detached()
-    groups = data.group_by_size(ds.splits[split])
+    inputs = split_inputs(params, ds, split)
     mses = []
     for pass_idx in range(k):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 13, pass_idx)))
         sq_sum = 0.0
-        for _, _, feats, labels in split_batches(ds, split, rng, groups):
-            err = models.batch_forward(params, feats).prediction.data - labels
+        for _, _, feats, labels in split_batches(params, ds, split, rng, inputs):
+            err = _forward(params, ds, feats).prediction.data - labels
             sq_sum += float(err @ err)
         mses.append(sq_sum / len(ds.splits[split]))
     arr = np.array(mses)

@@ -123,8 +123,10 @@ def init_model(spec: ModelSpec, seed: int) -> ad.ParamStore:
 
 # -- forward pass ------------------------------------------------------------
 
-def _embed(params, x: ad.Tensor) -> ad.Tensor:
-    return ad.linear(x, params["embed/W"], params["embed/b"])
+def embed(params, x: np.ndarray) -> ad.Tensor:
+    """The first layer: raw instance features [rows, input_dim] to
+    embedded rows [rows, embed_dim]."""
+    return ad.linear(ad.Tensor(x), params["embed/W"], params["embed/b"])
 
 
 def _mlp(params, prefix: str, layers: int, x: ad.Tensor) -> ad.Tensor:
@@ -177,15 +179,19 @@ class BatchOutput:
     weights: object = None
 
 
-def batch_forward(params: ad.ParamStore, feats: list) -> BatchOutput:
-    """Run a batch of same-size bags given per-position feature matrices."""
+def batch_forward(params: ad.ParamStore, feats: list, embedded: bool = False) -> BatchOutput:
+    """Run a batch of same-size bags given per-position feature matrices.
+
+    With `embedded`, each matrix is already through `embed` ([batch,
+    embed_dim]) and the network runs from its second layer on.
+    """
     spec = params.spec
     if not feats:
         if spec.capacity:
             return BatchOutput(ad.Tensor(np.zeros(0)), [], [])
         raise ValueError(f"{spec.label} rejects empty bags")
     batch = feats[0].shape[0]
-    xs = [_embed(params, ad.Tensor(x)) for x in feats]
+    xs = [ad.Tensor(x) if embedded else embed(params, x) for x in feats]
 
     if spec.family == "deepset":
         z = _mlp(params, "enc", spec.enc_layers, xs[0])

@@ -1,7 +1,8 @@
 """The benchmark's traced run (`capnet_bench/run.py --trace 1`) wraps capnet
 functions by module and name; renaming or deleting one of them breaks it.
 This installs and removes its tracer over the real package, and checks that
-its Tensor count is the size of the training graph."""
+its Tensor count is the size of the training graph and that it times
+evaluation forwards on image datasets."""
 
 import importlib
 import importlib.util
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from capnet import autodiff as ad
-from capnet import data, models, train
+from capnet import data, evaluate, models, train
+from test_data import synth_pool
 
 TRACING = Path(__file__).resolve().parents[1] / "capnet_bench" / "tracing.py"
 
@@ -73,3 +75,24 @@ def test_tensor_count_is_the_training_graph_size(monkeypatch, family, capacity):
             seen.add(id(node))
             stack.extend(node._parents)
     assert built == len(seen)
+
+
+def test_image_eval_forwards_are_traced_as_batch_forward():
+    """`models.batch_forward.eval_ms_per_batch` times the forwards under
+    evaluation spans; on image datasets they take embedded rows and must
+    still go through `models.batch_forward`."""
+    pools = {s: synth_pool(s, seed=i) for i, s in enumerate(data.SPLITS)}
+    ds = data.generate_dataset(data.DatasetSpec(task="US", mode="image", set_size=(2, 3),
+                                                counts=(20, 10, 10), seed=1), pools=pools)
+    params = models.init_model(models.ModelSpec("gru", capacity=True,
+                                                input_dim=ds.feature_dim()), 0)
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        evaluate.evaluate_mse(params, ds, "val")
+    finally:
+        tracer.uninstall()
+    forwards = [s for s in tracer.spans if s.name == "models.batch_forward"]
+    assert len(forwards) == 2  # one batch per set size
+    assert all(s.parent.name == "evaluate.split_mse_and_penalty"
+               and s.under("evaluate.evaluate_mse") for s in forwards)

@@ -206,6 +206,54 @@ def test_split_with_missing_bags_exits_2(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("counts", 5), ("counts", {"train": 20, "val": "5", "test": 5}), ("set_size", None),
+    ("set_size", []), ("set_size", [3, "4"]), ("pair_set", 7), ("pair_set", [[1, 2, 3]]),
+    ("checksums", []), ("checksums", {"train": 1}), ("noise", "a"), ("noise", True),
+    ("seed", "x"), ("seed", 1.5), ("pair_count", None), ("pools", 3),
+    ("pools", {"train": {"source": 1, "offset": 0, "count": 5}}),
+])
+def test_wrong_type_manifest_fields_name_the_field_and_exit_2(tmp_path, capsys, field, value):
+    ds = dataset_dir(tmp_path, counts=(20, 5, 5))
+    manifest_path = os.path.join(ds, "manifest.json")
+    with open(manifest_path) as f:
+        manifest = json.load(f)
+    manifest[field] = value
+    write_json(manifest_path, manifest)
+    with pytest.raises(ValueError, match=f"^manifest.json field '{field}' is "):
+        data.load_dataset(ds)
+    assert cli.main(["train", "--config", train_config(tmp_path, ds),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert f"manifest.json field '{field}'" in capsys.readouterr().err
+
+
+def test_manifest_must_be_an_object_with_every_field(tmp_path):
+    ds = dataset_dir(tmp_path, counts=(20, 5, 5))
+    manifest_path = os.path.join(ds, "manifest.json")
+    with open(manifest_path) as f:
+        manifest = json.load(f)
+    write_json(manifest_path, [manifest])
+    with pytest.raises(ValueError, match="manifest.json holds list, not an object"):
+        data.load_dataset(ds)
+    del manifest["seed"]
+    write_json(manifest_path, manifest)
+    with pytest.raises(ValueError, match="manifest.json lacks the 'seed' field"):
+        data.load_dataset(ds)
+
+
+def test_image_manifest_without_pools_is_rejected(tmp_path):
+    cfg = image_config(tmp_path, {"train": (0, 30), "val": (30, 15), "test": (45, 15)})
+    ds = str(tmp_path / "ds")
+    assert cli.main(["generate", "--config", cfg, "--out", ds]) == 0
+    manifest_path = os.path.join(ds, "manifest.json")
+    with open(manifest_path) as f:
+        manifest = json.load(f)
+    manifest["pools"] = None
+    write_json(manifest_path, manifest)
+    with pytest.raises(ValueError, match="'pools' is empty in image mode"):
+        data.load_dataset(ds)
+
+
 def test_image_index_outside_its_pool_is_rejected(tmp_path):
     cfg = image_config(tmp_path, {"train": (0, 30), "val": (30, 15), "test": (45, 15)})
     ds = str(tmp_path / "ds")

@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 from capnet import data, evaluate, models, oracle, train
+from test_data import synth_pool
+
+VARIANTS = [(f, False) for f in models.FAMILIES] + [(f, True) for f in models.SEQUENTIAL]
 
 
-def small(family, capacity=False, seed=0):
-    spec = models.ModelSpec(family, capacity=capacity, input_dim=10,
+def small(family, capacity=False, seed=0, input_dim=10):
+    spec = models.ModelSpec(family, capacity=capacity, input_dim=input_dim,
                             embed_dim=8, hidden_dim=6, enc_layers=2, dec_layers=2)
     return models.init_model(spec, seed)
 
@@ -41,6 +44,19 @@ def mixed_ds():
     # two bag sizes so the grouped/batched path has to reassemble results
     return data.generate_dataset(
         data.DatasetSpec(task="WTri", set_size=(2, 6), counts=(200, 80, 80), seed=4))
+
+
+def image_dataset(set_size=(2, 4), counts=(60, 30, 30), pool_size=200):
+    """Image bags over 16-pixel pools of `pool_size` images; with the
+    defaults each eval split uses fewer images than its pool holds."""
+    pools = {s: synth_pool(s, count=pool_size, seed=i) for i, s in enumerate(data.SPLITS)}
+    return data.generate_dataset(data.DatasetSpec(task="US", mode="image", set_size=set_size,
+                                                  counts=counts, seed=5), pools=pools)
+
+
+@pytest.fixture(scope="module")
+def img_ds():
+    return image_dataset()
 
 
 # -- split-level MSE --------------------------------------------------------
@@ -119,50 +135,57 @@ def test_empty_split_rejected():
 
 # -- forward-only evaluation -------------------------------------------------
 
-def record_forwards(monkeypatch):
-    """Wrap models.batch_forward; returns the list its outputs are appended to."""
+def record_forwards(monkeypatch, fn="batch_forward"):
+    """Wrap models.`fn`; returns the list its outputs are appended to."""
     seen = []
-    real = models.batch_forward
+    real = getattr(models, fn)
 
-    def recording(params, feats):
-        out = real(params, feats)
+    def recording(params, feats, **kwargs):
+        out = real(params, feats, **kwargs)
         seen.append(out)
         return out
-    monkeypatch.setattr(models, "batch_forward", recording)
+    monkeypatch.setattr(models, fn, recording)
     return seen
 
 
 @pytest.mark.parametrize("family,capacity", [("gru", True), ("lstm", False), ("attention", False)])
-def test_every_eval_routine_is_forward_only(us_ds, monkeypatch, family, capacity):
-    params = small(family, capacity=capacity)
+def test_every_eval_routine_is_forward_only(us_ds, img_ds, monkeypatch, family, capacity):
+    """On symbolic and image datasets alike; image evaluation embeds its
+    split up front, and that table must not record a graph either."""
     seen = record_forwards(monkeypatch)
-    routines = [
-        lambda: evaluate.evaluate_mse(params, us_ds, "val"),
-        lambda: evaluate.split_mse_and_penalty(params, us_ds, "val", 0.5, 0.1),
-        lambda: evaluate.split_predictions(params, us_ds, "val"),
-        lambda: evaluate.permutation_sensitivity(params, us_ds, "val", k=2),
-        lambda: evaluate.rounded_accuracy(params, us_ds, "val"),
-    ]
-    if capacity:
-        routines.append(lambda: evaluate.intermediate_mae(params, us_ds, "val"))
-    else:
-        routines.append(lambda: evaluate.pseudo_report(params, us_ds, "val"))
-    for run in routines:
-        seen.clear()
-        run()
-        assert seen
-        for out in seen:
-            assert not out.prediction.requires_grad and out.prediction._parents == ()
-            assert not any(v.requires_grad for v in out.intermediates)
-        assert all(t.grad is None and t.requires_grad for _, t in params.items())
+    embedded = record_forwards(monkeypatch, "embed")
+    for ds in (us_ds, img_ds):
+        params = small(family, capacity=capacity, input_dim=ds.feature_dim())
+        routines = [
+            lambda: evaluate.evaluate_mse(params, ds, "val"),
+            lambda: evaluate.split_mse_and_penalty(params, ds, "val", 0.5, 0.1),
+            lambda: evaluate.split_predictions(params, ds, "val"),
+            lambda: evaluate.permutation_sensitivity(params, ds, "val", k=2),
+            lambda: evaluate.rounded_accuracy(params, ds, "val"),
+        ]
+        if capacity:
+            routines.append(lambda: evaluate.intermediate_mae(params, ds, "val"))
+        else:
+            routines.append(lambda: evaluate.pseudo_report(params, ds, "val"))
+        for run in routines:
+            seen.clear()
+            embedded.clear()
+            run()
+            assert seen and embedded
+            for out in seen:
+                assert not out.prediction.requires_grad and out.prediction._parents == ()
+                assert not any(v.requires_grad for v in out.intermediates)
+            assert not any(x.requires_grad or x._parents for x in embedded)
+            assert all(t.grad is None and t.requires_grad for _, t in params.items())
 
 
 def test_train_run_val_eval_is_forward_only(monkeypatch):
-    ds = data.generate_dataset(
+    symbolic = data.generate_dataset(
         data.DatasetSpec(task="US", set_size=3, counts=(200, 40, 40), seed=2))
+    image = image_dataset(set_size=3, counts=(200, 40, 40), pool_size=60)
     real_eval = evaluate.split_mse_and_penalty
     seen = record_forwards(monkeypatch)
-    tracked = {"train": [], "eval": []}
+    tracked = {}
 
     def val_eval(params, *args, **kwargs):
         grads = {p: t.grad for p, t in params.items()}
@@ -177,13 +200,95 @@ def test_train_run_val_eval_is_forward_only(monkeypatch):
     model = models.ModelSpec("gru", capacity=True, embed_dim=8, hidden_dim=6,
                              enc_layers=2, dec_layers=2)
     cfg = train.RunConfig(dataset="mem", model=model, batch_size=50, epochs=2, seed=0)
-    train.train_run(cfg, dataset=ds)
-    # training keeps its graph; the per-epoch val eval builds none
-    assert len(tracked["train"]) == 8 and all(tracked["train"])
-    assert len(tracked["eval"]) == 2 and not any(tracked["eval"])
-    # with no epochs, the final val eval is the only pass and leaves no gradient
-    res = train.train_run(replace(cfg, epochs=0), dataset=ds)
-    assert all(t.grad is None for _, t in res.params.items())
+    for ds in (symbolic, image):
+        tracked.update(train=[], eval=[])
+        train.train_run(cfg, dataset=ds)
+        # training keeps its graph; the per-epoch val eval builds none
+        assert len(tracked["train"]) == 8 and all(tracked["train"])
+        assert len(tracked["eval"]) == 2 and not any(tracked["eval"])
+        # with no epochs, the final val eval is the only pass and leaves no gradient
+        res = train.train_run(replace(cfg, epochs=0), dataset=ds)
+        assert all(t.grad is None for _, t in res.params.items())
+
+
+# -- image datasets: one embedding table per routine call -------------------
+
+def reference_outputs(params, ds, split, rng=None):
+    """Predictions and per-step values ([n] per bag) of the split, each size
+    group run as one batch through `models.batch_forward` on
+    `data.position_features`: pixels embedded per position and per pass."""
+    bags = ds.splits[split]
+    preds, steps = np.empty(len(bags)), [None] * len(bags)
+    spec = params.spec
+    for idx, classes, img_idx, _ in data.group_by_size(bags).values():
+        if rng is not None:
+            classes, img_idx, _ = data.permute_instances(rng, classes, img_idx)
+        feats = data.position_features(classes, img_idx, "image", ds.pools[split])
+        out = models.batch_forward(params, feats)
+        preds[idx] = out.prediction.data
+        if spec.capacity:
+            values = np.stack([v.data for v in out.intermediates], axis=1)
+        elif spec.family in models.SEQUENTIAL:
+            values = np.diff([models.decode_state(params, h) for h in out.latents],
+                             axis=0, prepend=0.0).T
+        else:
+            values = np.diff([models.batch_forward(params, feats[:i + 1]).prediction.data
+                              for i in range(len(feats))], axis=0, prepend=0.0).T
+        for i, row in zip(idx, values):
+            steps[i] = row
+    return preds, steps
+
+
+def assert_close(got, want):
+    # pseudo values are differences of prefix predictions, so their error is
+    # relative to the predictions' scale, not to each small difference
+    want = np.asarray(want, dtype=np.float64)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("family,capacity", VARIANTS)
+def test_image_eval_agrees_with_per_position_embedding(img_ds, family, capacity):
+    params = small(family, capacity=capacity, seed=3, input_dim=img_ds.feature_dim())
+    bags = img_ds.splits["val"]
+    labels = np.array([b.label for b in bags], dtype=np.float64)
+    preds, steps = reference_outputs(params, img_ds, "val")
+
+    assert_close(evaluate.split_predictions(params, img_ds, "val"), preds)
+    assert_close(evaluate.evaluate_mse(params, img_ds, "val"), np.mean((preds - labels) ** 2))
+    rounded = np.sign(preds) * np.floor(np.abs(preds) + 0.5)
+    assert evaluate.rounded_accuracy(params, img_ds, "val") == np.mean(rounded == labels)
+
+    report = (evaluate.intermediate_mae if capacity else evaluate.pseudo_report)(
+        params, img_ds, "val")
+    for entry, want in zip(report.entries, steps, strict=True):
+        assert_close(entry.predicted, want)
+    expected = [oracle.decompose(img_ds.task, b.classes) for b in bags]
+    assert_close(report.mae, np.mean(np.abs(np.concatenate(expected) - np.concatenate(steps))))
+
+    res = evaluate.permutation_sensitivity(params, img_ds, "val", k=3, seed=2)
+    mses = []
+    for pass_idx in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence((2, 13, pass_idx)))
+        mses.append(np.mean((reference_outputs(params, img_ds, "val", rng)[0] - labels) ** 2))
+    assert_close(res["mse"], mses)
+
+
+def test_image_eval_embeds_each_distinct_split_image_once(img_ds, monkeypatch):
+    """Every routine call embeds exactly the images its split uses, once,
+    whatever its number of forward passes."""
+    for split in ("val", "test"):
+        used = np.unique([i for b in img_ds.splits[split] for i in b.img_idx])
+        assert len(used) < len(img_ds.pools[split].labels)
+        for family, capacity in (("gru", True), ("lstm", False), ("deepset", False)):
+            params = small(family, capacity=capacity, input_dim=img_ds.feature_dim())
+            report = evaluate.intermediate_mae if capacity else evaluate.pseudo_report
+            for routine in (evaluate.evaluate_mse, evaluate.split_predictions, report,
+                            lambda p, d, s: evaluate.permutation_sensitivity(p, d, s, k=5),
+                            evaluate.rounded_accuracy):
+                rows = record_forwards(monkeypatch, "embed")
+                routine(params, img_ds, split)
+                monkeypatch.undo()
+                assert [len(x.data) for x in rows] == [len(used)]
 
 
 def test_permutation_sensitivity_orders_are_pinned(monkeypatch):
