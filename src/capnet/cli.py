@@ -26,11 +26,14 @@ class UsageError(ValueError):
 def _load_json(path) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            obj = json.load(f)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise UsageError(f"config file {path} holds {type(obj).__name__}, not an object")
+    return obj
 
 
 def _dataset_spec(obj: dict) -> data.DatasetSpec:
@@ -49,19 +52,38 @@ def _dataset_spec(obj: dict) -> data.DatasetSpec:
         raise UsageError(str(exc))
 
 
-def _load_pools(obj: dict) -> dict:
-    pools = {}
-    for split, paths in obj.items():
-        pools[split] = data.build_pool(
-            data.resolve_path(paths["images"]), data.resolve_path(paths["labels"]),
-            split, offset=paths.get("offset", 0), count=paths.get("count"))
-    return pools
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0  # bool is not a row count
+
+
+def _load_pools(obj) -> dict:
+    """Build the pools of a dataset config's `pools` entry, after checking
+    each split's paths and window."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"dataset config 'pools' is {obj!r}, expected an object of splits")
+    for split, entry in obj.items():
+        if not isinstance(entry, dict):
+            raise UsageError(f"pool {split!r} is {entry!r}, expected an object")
+        for key in ("images", "labels"):
+            if not isinstance(entry.get(key), str):
+                raise UsageError(f"pool {split!r} field {key!r} is {entry.get(key)!r}, "
+                                 f"expected a path")
+        if not _is_count(entry.get("offset", 0)):
+            raise UsageError(f"pool {split!r} field 'offset' is {entry['offset']!r}, "
+                             f"expected an int >= 0")
+        if not (entry.get("count") is None or _is_count(entry["count"])):
+            raise UsageError(f"pool {split!r} field 'count' is {entry['count']!r}, "
+                             f"expected an int >= 0 or absent")
+    return {split: data.build_pool(
+        data.resolve_path(entry["images"]), data.resolve_path(entry["labels"]),
+        split, offset=entry.get("offset", 0), count=entry.get("count"))
+        for split, entry in obj.items()}
 
 
 def cmd_generate(args) -> int:
     config = _load_json(args.config)
     spec = _dataset_spec(config)
-    pools = _load_pools(config["pools"]) if spec.mode == "image" else None
+    pools = _load_pools(config.get("pools")) if spec.mode == "image" else None
     ds = data.generate_dataset(spec, pools=pools)
     manifest = data.save_dataset(ds, args.out)
     print(f"wrote dataset to {args.out}")
@@ -116,6 +138,10 @@ _METRICS = ("mse", "intermediates", "permsens", "accuracy")
 
 
 def cmd_eval(args) -> int:
+    """Score a checkpoint on `--split` with the requested metrics. It reads
+    that split's file and pool only, plus a split whose pool window overlaps
+    it, for the purity check; a damaged file of another split does not stop
+    it."""
     metrics = [m.strip() for m in (args.metric or "").split(",") if m.strip()]
     if not metrics:
         raise UsageError(f"no metrics requested; choose from {', '.join(_METRICS)}")
@@ -126,7 +152,7 @@ def cmd_eval(args) -> int:
         params = train.load_params(args.checkpoint)
     except FileNotFoundError as exc:
         raise UsageError(f"checkpoint not readable: {exc}")
-    ds = data.load_dataset(data.resolve_path(args.dataset))
+    ds = data.load_dataset(data.resolve_path(args.dataset), splits=(args.split,))
     if params.spec.input_dim != ds.feature_dim():
         raise UsageError(f"checkpoint expects {params.spec.input_dim}-dim features "
                          f"but dataset provides {ds.feature_dim()}-dim")

@@ -14,7 +14,8 @@ A symbolic shard of one set size draws its classes in one [shard, n] call;
 mixed set sizes and image mode draw bag by bag. Each shard is labelled by
 one `oracle.decompose_batch` pass per set size, summed over positions.
 Loading checks versions and checksums, then each split's records: bag
-count, set sizes, class ids, image indices and labels.
+count, set sizes, class ids, image indices and labels. A caller names the
+splits it uses, and only those are read.
 """
 
 from __future__ import annotations
@@ -470,8 +471,30 @@ def _check_manifest(manifest):
                              f"expected {want}")
 
 
-def load_dataset(path, pools: dict = None) -> Dataset:
-    """Load a saved dataset, verifying versions and per-split checksums."""
+def _overlapping(windows: dict, wanted) -> set:
+    """The splits whose pool window shares rows of one images file with the
+    window of a split in `wanted`; `windows` maps split -> (source, offset,
+    count)."""
+    out = set()
+    for split, (source, offset, count) in windows.items():
+        for other in wanted:
+            o_source, o_offset, o_count = windows.get(other, (None, 0, 0))
+            if (other != split and source == o_source
+                    and offset < o_offset + o_count and o_offset < offset + count):
+                out.add(split)
+    return out
+
+
+def load_dataset(path, pools: dict = None, splits=SPLITS) -> Dataset:
+    """Load a saved dataset, verifying versions, the manifest's fields, and
+    the checksum and records of each split in `splits`.
+
+    Only the named splits' files are read and, in image mode, only their
+    pools are built. A split whose pool window shares rows of an images file
+    with a named split's window is read too, because only then can the two
+    splits share an image; disjoint windows need no extra read. The returned
+    dataset holds every split read, and split purity is checked over them.
+    """
     with open(os.path.join(path, "manifest.json")) as f:
         manifest = json.load(f)
     if not isinstance(manifest, dict):
@@ -495,19 +518,26 @@ def load_dataset(path, pools: dict = None) -> Dataset:
     )
     task = oracle.TaskSpec(manifest["task"], pair_set=tuple(tuple(p) for p in manifest["pair_set"]))
 
+    read = set(splits)
     if spec.mode == "image" and pools is None:
         if manifest.get("pools") is None:
             raise ValueError("manifest.json field 'pools' is empty in image mode")
-        pools = {}
-        for split, info in manifest["pools"].items():
+        entries = manifest["pools"]
+        for split, info in entries.items():
             if "labels" not in info:
                 raise ValueError(f"manifest pool entry for {split!r} lacks the 'labels' key "
                                  f"naming its labels file; regenerate the dataset")
-            pools[split] = build_pool(info["source"], info["labels"], split,
-                                      offset=info["offset"], count=info["count"])
+        read |= _overlapping({s: (entries[s]["source"], entries[s]["offset"],
+                                  entries[s]["count"]) for s in SPLITS}, splits)
+        pools = {s: build_pool(entries[s]["source"], entries[s]["labels"], s,
+                               offset=entries[s]["offset"], count=entries[s]["count"])
+                 for s in SPLITS if s in read}
+    elif pools:
+        read |= _overlapping({s: (p.source, p.offset, len(p.labels))
+                              for s, p in pools.items()}, splits)
 
-    splits = {}
-    for split in SPLITS:
+    loaded = {}
+    for split in (s for s in SPLITS if s in read):
         file_path = os.path.join(path, f"{split}.jsonl")
         with open(file_path, "rb") as f:
             payload = f.read()
@@ -525,9 +555,9 @@ def load_dataset(path, pools: dict = None) -> Dataset:
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{split}.jsonl line {lineno}: {exc}") from exc
         _check_records(split, bags, lines, spec, task, pools[split] if pools else None)
-        splits[split] = bags
+        loaded[split] = bags
 
-    ds = Dataset(spec, task, splits, pools=pools, manifest=manifest)
+    ds = Dataset(spec, task, loaded, pools=pools, manifest=manifest)
     check_split_purity(ds)
     return ds
 

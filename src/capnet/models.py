@@ -21,7 +21,7 @@ of per-position [batch, features] matrices; one bag is a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,6 +68,19 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelSpec":
+        """The spec a `to_json` object describes; raises ValueError naming
+        the first field that is missing, unknown or of the wrong type."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"model spec is {type(obj).__name__}, not an object")
+        if "family" not in obj:
+            raise ValueError("model spec lacks the 'family' field")
+        # annotations are strings ("str", "bool", "int"); bool is not an int here
+        types = {f.name: f.type for f in fields(cls)}
+        for name, value in obj.items():
+            if name not in types:
+                raise ValueError(f"unknown model field {name!r}")
+            if type(value).__name__ != types[name]:
+                raise ValueError(f"model field {name!r} is {value!r}, expected {types[name]}")
         return cls(**obj)
 
 

@@ -127,10 +127,12 @@ class TrainResult:
 def train_run(config: RunConfig, out_dir=None, dataset: data.Dataset = None) -> TrainResult:
     """Train one model; optionally write metrics.csv, timing.csv, checkpoint.
 
-    Aborts with TrainingDiverged naming the offending batch if the loss
+    Without a `dataset`, it loads `config.dataset`'s train and val splits
+    only. Aborts with TrainingDiverged naming the offending batch if the loss
     goes non-finite.
     """
-    ds = dataset if dataset is not None else data.load_dataset(data.resolve_path(config.dataset))
+    ds = dataset if dataset is not None else data.load_dataset(
+        data.resolve_path(config.dataset), splits=("train", "val"))
     train_bags = ds.splits["train"]
     if config.batch_size > len(train_bags):
         raise ValueError(f"batch_size {config.batch_size} exceeds train set size {len(train_bags)}")
@@ -209,12 +211,22 @@ def write_outputs(result: TrainResult):
 
 
 def load_params(checkpoint_path) -> ad.ParamStore:
-    """Rebuild a ParamStore from checkpoint.capn plus its .json sidecar."""
+    """Rebuild a ParamStore from checkpoint.capn plus its .json sidecar. A
+    sidecar that is not an object, or whose `model` or `seed` field has the
+    wrong type, raises ValueError naming the field."""
     meta_path = os.path.splitext(checkpoint_path)[0] + ".json"
     with open(meta_path) as f:
         meta = json.load(f)
-    spec = models.ModelSpec.from_json(meta["model"])
-    params = models.init_model(spec, meta.get("seed", 0))
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path} holds {type(meta).__name__}, not an object")
+    seed = meta.get("seed", 0)
+    if type(seed) is not int:
+        raise ValueError(f"{meta_path} field 'seed' is {seed!r}, expected an int")
+    try:
+        spec = models.ModelSpec.from_json(meta.get("model"))
+    except ValueError as exc:
+        raise ValueError(f"{meta_path} field 'model': {exc}") from exc
+    params = models.init_model(spec, seed)
     params.load_state_dict(ad.load_checkpoint(checkpoint_path))
     return params
 

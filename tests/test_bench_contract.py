@@ -2,7 +2,8 @@
 functions by module and name; renaming or deleting one of them breaks it.
 This installs and removes its tracer over the real package, and checks that
 its Tensor count is the size of the training graph and that it times
-evaluation forwards on image datasets."""
+evaluation forwards on image datasets and sees one dataset load per
+`capnet eval`."""
 
 import importlib
 import importlib.util
@@ -12,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from capnet import autodiff as ad
-from capnet import data, evaluate, models, train
-from test_data import synth_pool
+from capnet import cli, data, evaluate, models, train
+from test_data import image_pools, synth_pool
 
 TRACING = Path(__file__).resolve().parents[1] / "capnet_bench" / "tracing.py"
 
@@ -96,3 +97,27 @@ def test_image_eval_forwards_are_traced_as_batch_forward():
     assert len(forwards) == 2  # one batch per set size
     assert all(s.parent.name == "evaluate.split_mse_and_penalty"
                and s.under("evaluate.evaluate_mse") for s in forwards)
+
+
+def test_image_eval_makes_one_traced_dataset_load(tmp_path):
+    """`data.load_dataset.round_s` sums the CLI's `data.load_dataset` spans;
+    an image `capnet eval` must load its split in exactly one such call."""
+    ds = data.generate_dataset(data.DatasetSpec(task="US", mode="image", set_size=3,
+                                                counts=(20, 8, 8), seed=2),
+                               pools=image_pools(tmp_path))
+    data.save_dataset(ds, tmp_path / "ds")
+    cfg = train.RunConfig(dataset=str(tmp_path / "ds"), epochs=1, batch_size=10,
+                          model=models.ModelSpec("gru", capacity=True, embed_dim=4, hidden_dim=4))
+    train.train_run(cfg, out_dir=str(tmp_path / "run"))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.capn"),
+                         "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "ev"),
+                         "--metric", "mse,intermediates", "--split", "val"]) == 0
+    finally:
+        tracer.uninstall()
+    loads = [s for s in tracer.spans if s.name == "data.load_dataset"]
+    assert len(loads) == 1 and loads[0].parent.name == "cli.eval"
+    pools = [s for s in tracer.spans if s.name == "data.build_pool"]
+    assert len(pools) == 1 and pools[0].parent is loads[0]

@@ -4,7 +4,9 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capnet import autodiff, cli, data, models, train
-from test_data import make_idx_images, make_idx_labels
+from test_data import make_idx_images, make_idx_labels, record_reads
 
 
 def write_json(path, obj):
@@ -38,6 +40,14 @@ def train_config(tmp_path, ds_path, name="run", model=None, **overrides):
            "batch_size": 50, "epochs": 2, "seed": 0}
     obj.update(overrides)
     return write_json(tmp_path / f"{name}.json", obj)
+
+
+def checkpoint_for(tmp_path, ds):
+    """A checkpoint trained for one epoch on `ds`."""
+    run = str(tmp_path / "ckpt")
+    cfg = train_config(tmp_path, ds, name="ckpt", epochs=1, batch_size=10)
+    assert cli.main(["train", "--config", cfg, "--out", run]) == 0
+    return os.path.join(run, "checkpoint.capn")
 
 
 def read_csv(path):
@@ -106,6 +116,25 @@ def test_generate_rejects_overlapping_pool_windows(tmp_path, capsys):
     assert cli.main(["generate", "--config", cfg, "--out", out]) == 2
     assert "used by both train and val" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+@pytest.mark.parametrize("edit, why", [
+    (lambda c: c["pools"].update(val="val-images"), "pool 'val' is 'val-images', expected an object"),
+    (lambda c: c["pools"]["val"].update(offset="5"), "pool 'val' field 'offset' is '5'"),
+    (lambda c: c["pools"]["test"].update(count=2.5), "pool 'test' field 'count' is 2.5"),
+    (lambda c: c["pools"]["train"].update(offset=-1), "pool 'train' field 'offset' is -1"),
+    (lambda c: c["pools"]["train"].update(images=3), "pool 'train' field 'images' is 3"),
+    (lambda c: c.update(pools=[1]), "'pools' is [1], expected an object"),
+    (lambda c: [c], "holds list, not an object"),
+])
+def test_malformed_dataset_configs_name_the_field_and_exit_2(tmp_path, capsys, edit, why):
+    path = image_config(tmp_path, {"train": (0, 30), "val": (30, 15), "test": (45, 15)})
+    with open(path) as f:
+        config = json.load(f)
+    edited = edit(config)
+    write_json(path, config if edited is None else edited)
+    assert cli.main(["generate", "--config", path, "--out", str(tmp_path / "ds")]) == 2
+    assert why in capsys.readouterr().err
 
 
 # -- train ------------------------------------------------------------------
@@ -192,8 +221,9 @@ def test_malformed_records_name_their_line_and_exit_2(tmp_path, capsys, line, wh
     assert "val.jsonl line 3" in capsys.readouterr().err
 
 
-def test_split_with_missing_bags_exits_2(tmp_path):
+def test_split_with_missing_bags_exits_2(tmp_path, capsys):
     ds = dataset_dir(tmp_path, counts=(20, 5, 5))
+    ckpt = checkpoint_for(tmp_path, ds)
     path = os.path.join(ds, "test.jsonl")
     with open(path) as f:
         first = f.readline()
@@ -202,8 +232,9 @@ def test_split_with_missing_bags_exits_2(tmp_path):
     rewrite_line(ds, "test", 1, first.strip())  # fixes the checksum; the manifest still counts 5
     with pytest.raises(ValueError, match="test.jsonl holds 1 bags, the manifest says 5"):
         data.load_dataset(ds)
-    assert cli.main(["train", "--config", train_config(tmp_path, ds),
-                     "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", ds, "--out", str(tmp_path / "o"),
+                     "--metric", "mse", "--split", "test"]) == 2
+    assert "test.jsonl holds 1 bags" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -448,6 +479,30 @@ def test_eval_truncated_checkpoint(trained, tmp_path, capsys):
     assert "truncated checkpoint at byte 6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda m: m.update(model={"family": 5}), "'model': model field 'family' is 5"),
+    (lambda m: m["model"].update(hidden_dim="4"), "'model': model field 'hidden_dim' is '4'"),
+    (lambda m: m["model"].update(capacity=1), "'model': model field 'capacity' is 1"),
+    (lambda m: m["model"].update(depth=2), "'model': unknown model field 'depth'"),
+    (lambda m: m.update(model=[1]), "'model': model spec is list"),
+    (lambda m: m.update(seed="x"), "'seed' is 'x'"),
+    (lambda m: [m], "holds list, not an object"),
+])
+def test_malformed_checkpoint_json_names_the_field_and_exit_2(trained, tmp_path, capsys,
+                                                              edit, field):
+    ds, ckpt, _ = trained
+    shutil.copy(ckpt, tmp_path / "c.capn")
+    with open(ckpt[:-len(".capn")] + ".json") as f:
+        meta = json.load(f)
+    edited = edit(meta)
+    write_json(tmp_path / "c.json", meta if edited is None else edited)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        train.load_params(str(tmp_path / "c.capn"))
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "c.capn"), "--dataset", ds,
+                     "--out", str(tmp_path / "o"), "--metric", "mse"]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_eval_feature_dim_mismatch(trained, tmp_path):
     ds, _, _ = trained
     # checkpoint whose model wants 7-dim features against a 10-dim dataset
@@ -461,6 +516,108 @@ def test_eval_feature_dim_mismatch(trained, tmp_path):
                    "config_hash": "0" * 16}, f)
     assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", ds,
                      "--out", str(tmp_path / "o"), "--metric", "mse"]) == 2
+
+
+# -- eval reads only its split -------------------------------------------
+
+def image_dataset(tmp_path):
+    """Generated image dataset over disjoint windows of `image_config`'s one
+    IDX pair."""
+    cfg = image_config(tmp_path, {"train": (0, 30), "val": (30, 15), "test": (45, 15)})
+    out = str(tmp_path / "ids")
+    assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
+    return out
+
+
+def eval_files(ckpt, ds, out, split):
+    assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", ds, "--out", out,
+                     "--metric", "mse,intermediates,permsens,accuracy", "--split", split,
+                     "--k", "3", "--seed", "4"]) == 0
+    return {path.name: path.read_bytes() for path in Path(out).iterdir()}
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "image"])
+@pytest.mark.parametrize("split", ["val", "test"])
+def test_eval_of_one_split_writes_the_bytes_of_a_full_load(tmp_path, monkeypatch, mode, split):
+    ds = dataset_dir(tmp_path, counts=(30, 10, 10)) if mode == "symbolic" \
+        else image_dataset(tmp_path)
+    ckpt = checkpoint_for(tmp_path, ds)
+    alone = eval_files(ckpt, ds, str(tmp_path / "alone"), split)
+    real_load = data.load_dataset
+    monkeypatch.setattr(data, "load_dataset", lambda path, pools=None, splits=None:
+                        real_load(path, pools))
+    full = eval_files(ckpt, ds, str(tmp_path / "full"), split)
+    assert sorted(alone) == ["accuracy.csv", "intermediates.csv", "intermediates.jsonl",
+                             "mse.csv", "permsens.csv"]
+    assert alone == full
+
+
+@pytest.mark.parametrize("split", ["val", "test"])
+def test_eval_reads_only_its_split_file_and_pool(tmp_path, monkeypatch, split):
+    ds = image_dataset(tmp_path)
+    ckpt = checkpoint_for(tmp_path, ds)
+    reads = record_reads(monkeypatch)
+    assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", ds,
+                     "--out", str(tmp_path / "o"), "--metric", "mse", "--split", split]) == 0
+    assert reads == [f"pool:{split}", f"{split}.jsonl"]
+
+
+def test_eval_reads_an_overlapping_split_to_check_purity(tmp_path, monkeypatch, capsys):
+    """Val's window is moved onto train's rows of the one images file, and
+    val's first instance is pointed at train's lowest image."""
+    ds = image_dataset(tmp_path)
+    ckpt = checkpoint_for(tmp_path, ds)
+    manifest_path = os.path.join(ds, "manifest.json")
+    with open(manifest_path) as f:
+        manifest = json.load(f)
+    manifest["pools"]["val"].update(offset=0, count=45)  # overlaps train's [0, 30)
+    write_json(manifest_path, manifest)
+    with open(os.path.join(ds, "train.jsonl")) as f:
+        shared = min(i for line in f for i in json.loads(line)["img_idx"])
+    with open(os.path.join(ds, "val.jsonl")) as f:
+        record = json.loads(f.readline())
+    record["img_idx"][0] = shared
+    rewrite_line(ds, "val", 1, json.dumps(record))
+
+    reads = record_reads(monkeypatch)
+    source = manifest["pools"]["train"]["source"]
+    with pytest.raises(ValueError, match=re.escape(f"image ({source!r}, {shared}) used by "
+                                                   f"both train and val")):
+        data.load_dataset(ds, splits=("val",))
+    assert reads == ["pool:train", "pool:val", "train.jsonl", "val.jsonl"]
+    assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", ds,
+                     "--out", str(tmp_path / "o"), "--metric", "mse", "--split", "val"]) == 2
+    assert f"image ({source!r}, {shared}) used by both train and val" in capsys.readouterr().err
+    # test's window lies on another file; it is neither read nor checked
+    assert set(data.load_dataset(ds, splits=("test",)).splits) == {"test"}
+
+
+def test_train_reads_train_and_val_only_and_writes_the_same_files(tmp_path, monkeypatch):
+    ds = dataset_dir(tmp_path, counts=(40, 10, 10))
+    cfg = train.RunConfig(dataset=ds, model=models.ModelSpec(**SMALL_MODEL), batch_size=10,
+                          epochs=2)
+    full = train.train_run(cfg, out_dir=str(tmp_path / "full"), dataset=data.load_dataset(ds))
+    reads = record_reads(monkeypatch)
+    alone = train.train_run(cfg, out_dir=str(tmp_path / "alone"))
+    assert reads == ["train.jsonl", "val.jsonl"]
+    assert alone.final_val_mse == full.final_val_mse
+    for name in ("metrics.csv", "checkpoint.capn", "checkpoint.json"):
+        assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+@pytest.mark.parametrize("fix_checksum, why", [(True, "test.jsonl line 2: "),
+                                               (False, "checksum failure for test.jsonl")])
+def test_damaged_split_stops_only_the_commands_that_read_it(trained, tmp_path, capsys,
+                                                            fix_checksum, why):
+    ds = str(tmp_path / "ds")
+    shutil.copytree(trained[0], ds)
+    rewrite_line(ds, "test", 2, '{"classes":[1,2]', fix_checksum=fix_checksum)
+    args = ["eval", "--checkpoint", trained[1], "--dataset", ds, "--metric", "mse"]
+    assert cli.main(args + ["--out", str(tmp_path / "v"), "--split", "val"]) == 0
+    assert cli.main(args + ["--out", str(tmp_path / "t"), "--split", "test"]) == 2
+    assert why in capsys.readouterr().err
+    assert cli.main(["train", "--config", train_config(tmp_path, ds),
+                     "--out", str(tmp_path / "r")]) == 0
 
 
 # -- sweep ------------------------------------------------------------------
@@ -520,6 +677,9 @@ def test_sweep_config_validation(tmp_path, capsys):
     assert cli.main(["sweep", "--config", cfg2, "--out", str(tmp_path / "o")]) == 2
     cfg3 = sweep_config(tmp_path, ds, families=["warp-drive"])
     assert cli.main(["sweep", "--config", cfg3, "--out", str(tmp_path / "o")]) == 2
+    cfg4 = write_json(tmp_path / "list.json", [{"dataset": ds}])
+    assert cli.main(["sweep", "--config", cfg4, "--out", str(tmp_path / "o")]) == 2
+    assert "holds list, not an object" in capsys.readouterr().err
 
 
 # -- report -----------------------------------------------------------------

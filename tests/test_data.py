@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import struct
 import sys
 import threading
@@ -565,6 +566,43 @@ def test_generate_load_and_eval_scale_only_what_they_read(tmp_path):
                                                 embed_dim=4, hidden_dim=4), 0)
     evaluate.evaluate_mse(params, loaded, "val")
     assert scaled(loaded.pools) == {"train": False, "val": True, "test": False}
+
+
+def record_reads(monkeypatch) -> list:
+    """Record every split file `data` opens and every pool it builds."""
+    reads = []
+    real_open, real_build = open, data.build_pool
+
+    def recording_open(path, *args, **kwargs):
+        if str(path).endswith(".jsonl"):
+            reads.append(os.path.basename(path))
+        return real_open(path, *args, **kwargs)
+
+    def recording_build(images, labels, split, **kwargs):
+        reads.append(f"pool:{split}")
+        return real_build(images, labels, split, **kwargs)
+
+    monkeypatch.setattr(data, "open", recording_open, raising=False)
+    monkeypatch.setattr(data, "build_pool", recording_build)
+    return reads
+
+
+def test_load_reads_a_split_whose_given_pool_overlaps_a_named_one(tmp_path, monkeypatch):
+    pools = image_pools(tmp_path)
+    spec = data.DatasetSpec(task="US", mode="image", set_size=3, counts=(20, 8, 8), seed=2)
+    data.save_dataset(data.generate_dataset(spec, pools=pools), tmp_path / "ds")
+    # val's rows 25..44 of the file overlap train's 0..29
+    wide = dict(pools, val=data.build_pool(tmp_path / "imgs", tmp_path / "labs", "val",
+                                           offset=25, count=20))
+    reads = record_reads(monkeypatch)
+    assert set(data.load_dataset(tmp_path / "ds", pools=pools, splits=("val",)).splits) == {"val"}
+    assert reads == ["val.jsonl"]
+    reads.clear()
+    try:
+        data.load_dataset(tmp_path / "ds", pools=wide, splits=("val",))
+    except ValueError as exc:
+        assert "used by both train and val" in str(exc)
+    assert reads == ["train.jsonl", "val.jsonl"]
 
 
 def test_concurrent_first_reads_scale_a_pool_once(tmp_path, monkeypatch):
