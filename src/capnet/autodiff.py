@@ -174,9 +174,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
 
 # -- primitive operations -------------------------------------------------
 
@@ -345,9 +342,6 @@ class ParamStore:
 
     def __getitem__(self, path: str) -> Tensor:
         return self._params[path]
-
-    def __contains__(self, path):
-        return path in self._params
 
     def paths(self):
         return sorted(self._params)

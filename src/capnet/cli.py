@@ -23,67 +23,34 @@ class UsageError(ValueError):
     pass
 
 
-def _load_json(path) -> dict:
+def _load_json(path):
     try:
         with open(path) as f:
-            obj = json.load(f)
+            return json.load(f)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise UsageError(f"config file {path} holds {type(obj).__name__}, not an object")
-    return obj
 
 
-def _dataset_spec(obj: dict) -> data.DatasetSpec:
-    known = {"task", "mode", "set_size", "counts", "seed", "noise", "pair_count"}
-    unknown = set(obj) - known - {"pools"}
-    if unknown:
-        raise UsageError(f"unknown dataset config keys: {sorted(unknown)}")
-    try:
-        fields = {k: obj[k] for k in known if k in obj}
-        if "counts" in fields:
-            fields["counts"] = tuple(fields["counts"])
-        if "set_size" in fields and not isinstance(fields["set_size"], int):
-            fields["set_size"] = tuple(fields["set_size"])
-        return data.DatasetSpec(**fields)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc))
+_POOL_ENTRY = fileio.obj({"images": fileio.STR, "labels": fileio.STR,
+                          "offset": fileio.optional(fileio.COUNT),
+                          "count": fileio.optional(fileio.COUNT)})
+_DATASET_SCHEMA = {**data.SPEC_SCHEMA, "pools": fileio.optional(data.per_split(_POOL_ENTRY))}
 
 
-def _is_count(v) -> bool:
-    return type(v) is int and v >= 0  # bool is not a row count
-
-
-def _load_pools(obj) -> dict:
-    """Build the pools of a dataset config's `pools` entry, after checking
-    each split's paths and window."""
-    if not isinstance(obj, dict):
-        raise UsageError(f"dataset config 'pools' is {obj!r}, expected an object of splits")
-    for split, entry in obj.items():
-        if not isinstance(entry, dict):
-            raise UsageError(f"pool {split!r} is {entry!r}, expected an object")
-        for key in ("images", "labels"):
-            if not isinstance(entry.get(key), str):
-                raise UsageError(f"pool {split!r} field {key!r} is {entry.get(key)!r}, "
-                                 f"expected a path")
-        if not _is_count(entry.get("offset", 0)):
-            raise UsageError(f"pool {split!r} field 'offset' is {entry['offset']!r}, "
-                             f"expected an int >= 0")
-        if not (entry.get("count") is None or _is_count(entry["count"])):
-            raise UsageError(f"pool {split!r} field 'count' is {entry['count']!r}, "
-                             f"expected an int >= 0 or absent")
+def _load_pools(entries: dict) -> dict:
+    """Build the pools a checked dataset config's `pools` entry names."""
     return {split: data.build_pool(
         data.resolve_path(entry["images"]), data.resolve_path(entry["labels"]),
         split, offset=entry.get("offset", 0), count=entry.get("count"))
-        for split, entry in obj.items()}
+        for split, entry in entries.items()}
 
 
 def cmd_generate(args) -> int:
-    config = _load_json(args.config)
-    spec = _dataset_spec(config)
-    pools = _load_pools(config.get("pools")) if spec.mode == "image" else None
+    config = fileio.check_fields(_load_json(args.config), _DATASET_SCHEMA, args.config)
+    spec = data.DatasetSpec.from_json(config)
+    pools = _load_pools(config.get("pools", {})) if spec.mode == "image" else None
     ds = data.generate_dataset(spec, pools=pools)
     manifest = data.save_dataset(ds, args.out)
     print(f"wrote dataset to {args.out}")
@@ -95,11 +62,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_config(obj: dict, seed_override=None) -> train.RunConfig:
-    try:
-        cfg = train.RunConfig.from_json(obj)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise UsageError(f"bad run config: {exc}")
+def _run_config(path, seed_override=None) -> train.RunConfig:
+    cfg = train.RunConfig.from_json(_load_json(path), path)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
     if cfg.reg_lambda > 0 and not cfg.model.capacity:
@@ -125,7 +89,7 @@ def _write_experiment_manifest(out_dir, cfg: train.RunConfig, seeds, outputs):
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(_load_json(args.config), args.seed)
+    cfg = _run_config(args.config, args.seed)
     result = train.train_run(cfg, out_dir=args.out)
     _write_experiment_manifest(args.out, cfg, [cfg.seed],
                                ["metrics.csv", "timing.csv", "checkpoint.capn", "checkpoint.json"])
@@ -204,20 +168,26 @@ def _family_spec(label: str, base: dict) -> models.ModelSpec:
     label = label.lower()
     capacity = label.startswith("c-")
     family = label[2:] if capacity else label
-    try:
-        return models.ModelSpec(family=family, capacity=capacity, **base)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return models.ModelSpec(family=family, capacity=capacity, **base)
+
+
+# a sweep's `train` and `model` sections set every field of its runs but the
+# ones that the sweep itself varies or names
+_SWEEP_SCHEMA = {
+    "dataset": fileio.STR, "families": fileio.STRS, "seeds": fileio.INTS,
+    "train_sizes": fileio.optional(fileio.INTS),
+    "train": fileio.optional(fileio.obj({k: v for k, v in train.RUN_SCHEMA.items()
+                                         if k not in ("dataset", "model")})),
+    "model": fileio.optional(fileio.obj({k: v for k, v in models.MODEL_SCHEMA.items()
+                                         if k not in ("family", "capacity")})),
+}
 
 
 def cmd_sweep(args) -> int:
-    config = _load_json(args.config)
-    for key in ("dataset", "families", "seeds"):
-        if key not in config:
-            raise UsageError(f"sweep config needs a {key!r} entry")
-    base_train = dict(config.get("train", {}))
-    base_model = dict(config.get("model", {}))
-    seeds = [int(s) for s in config["seeds"]]
+    config = fileio.check_fields(_load_json(args.config), _SWEEP_SCHEMA, args.config)
+    base_train = config.get("train", {})
+    base_model = config.get("model", {})
+    seeds = config["seeds"]
     train_sizes = config.get("train_sizes")
 
     ds_path = data.resolve_path(config["dataset"])
@@ -229,11 +199,10 @@ def cmd_sweep(args) -> int:
     for size in (train_sizes or [None]):
         if size is None:
             ds = full
+        elif size > len(full.splits["train"]):
+            raise UsageError(f"train size {size} exceeds dataset train split "
+                             f"{len(full.splits['train'])}")
         else:
-            size = int(size)
-            if size > len(full.splits["train"]):
-                raise UsageError(f"train size {size} exceeds dataset train split "
-                                 f"{len(full.splits['train'])}")
             ds = data.Dataset(full.spec, full.task,
                               {"train": full.splits["train"][:size],
                                "val": full.splits["val"], "test": full.splits["test"]},
@@ -347,10 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except train.TrainingDiverged as exc:

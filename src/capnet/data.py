@@ -78,19 +78,6 @@ def _scale(raw: np.ndarray) -> np.ndarray:
     return raw.astype(np.float64) / 255.0
 
 
-def parse_idx(data: bytes) -> np.ndarray:
-    """Parse an IDX byte payload.
-
-    Returns float images scaled to [0, 1] and flattened to N x (rows*cols)
-    for the rank-3 image magic, or an int vector for the rank-1 label magic.
-    """
-    magic, dims, header = _idx_header(data[:16], len(data))
-    raw = np.frombuffer(data, dtype=np.uint8, offset=header)
-    if magic == IDX_MAGIC_LABELS:
-        return raw.astype(np.int64)
-    return _scale(raw.reshape(dims[0], dims[1] * dims[2]))
-
-
 def _read_idx_window(path, magic: int, offset: int, count) -> np.ndarray:
     """uint8 rows `offset` to `offset + count` of an IDX file (to its end
     when `count` is None), N x (rows*cols) for images and N for labels.
@@ -124,19 +111,16 @@ class ImagePool:
     """Images of one split; `offset` keeps indices global when one IDX file
     is partitioned across splits, so leakage checks stay meaningful.
 
-    `images` is float pixels in [0, 1] or raw uint8 IDX rows. `pixels` is
-    the buffer the pool holds. Raw rows stay uint8 until `images` is first
-    read; that read scales them to float64 exactly as `parse_idx` does and
-    keeps the result in `pixels`, so a pool no model reads costs one byte
-    per pixel.
+    `images` is raw uint8 IDX rows, and `pixels` is the buffer the pool
+    holds. The rows stay uint8 until `images` is first read; that read
+    scales them to float64 in [0, 1] and keeps the result in `pixels`, so a
+    pool no model reads costs one byte per pixel.
     """
 
     def __init__(self, images: np.ndarray, labels: np.ndarray, split: str,
                  source: str = "", offset: int = 0, labels_source: str = ""):
         if len(images) != len(labels):
             raise ValueError(f"{len(images)} images but {len(labels)} labels")
-        if images.dtype != np.uint8 and images.size and (images.min() < 0.0 or images.max() > 1.0):
-            raise ValueError("pixel values outside [0, 1]")
         self.pixels = images
         self.labels = labels
         self.split = split
@@ -222,6 +206,25 @@ class DatasetSpec:
         if isinstance(self.set_size, int):
             return (self.set_size,)
         return tuple(int(n) for n in self.set_size)
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "DatasetSpec":
+        """The spec in the `SPEC_SCHEMA` of a checked dataset config or
+        manifest, with its lists as tuples."""
+        return cls(**{name: tuple(v) if isinstance(v, list) else v
+                      for name, v in obj.items() if name in SPEC_SCHEMA})
+
+
+def per_split(kind: fileio.Kind) -> fileio.Kind:
+    """An object holding a value of `kind` for each split."""
+    return fileio.obj({s: kind for s in SPLITS})
+
+
+# DatasetSpec's JSON fields, declared once for dataset configs and manifests;
+# a config lists `counts` in SPLITS order, and a manifest holds one per split
+SPEC_SCHEMA = fileio.spec_schema(DatasetSpec, counts=fileio.INTS, set_size=fileio.Kind(
+    "an int or a non-empty list of ints",
+    lambda v: fileio.INT.ok(v) or (fileio.INTS.ok(v) and len(v) > 0)))
 
 
 @dataclass
@@ -422,53 +425,23 @@ def save_dataset(ds: Dataset, out_dir) -> dict:
     return manifest
 
 
-def _is_int(v) -> bool:
-    return type(v) is int  # bool is not a count, a size or a seed
-
-
-def _is_int_list(v, length=None) -> bool:
-    return (isinstance(v, list) and all(map(_is_int, v))
-            and (length is None or len(v) == length))
-
-
-def _per_split(v, check) -> bool:
-    return isinstance(v, dict) and all(check(v.get(s)) for s in SPLITS)
-
-
-def _is_pool_entry(v) -> bool:
-    return (isinstance(v, dict) and isinstance(v.get("source"), str)
-            and isinstance(v.get("labels", ""), str)  # a missing one has its own error
-            and _is_int(v.get("offset")) and _is_int(v.get("count")))
-
-
-# field -> (whether it may be absent, type check, what it must be); `task`
-# and `mode` are names that DatasetSpec looks up, and reject any other value
-_MANIFEST_FIELDS = {
-    "set_size": (False, lambda v: _is_int(v) or (_is_int_list(v) and len(v) > 0),
-                 "an int or a non-empty list of ints"),
-    "counts": (False, lambda v: _per_split(v, _is_int), "an int for each split"),
-    "seed": (False, _is_int, "an int"),
-    "noise": (True, lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
-    "pair_count": (True, _is_int, "an int"),
-    "pair_set": (False, lambda v: isinstance(v, list) and all(_is_int_list(p, 2) for p in v),
-                 "a list of class pairs"),
-    "checksums": (False, lambda v: _per_split(v, lambda c: isinstance(c, str)),
-                  "a sha256 hex digest for each split"),
-    "pools": (True, lambda v: v is None or _per_split(v, _is_pool_entry),
-              "null or a source, offset and count for each split"),
-}
-
-
-def _check_manifest(manifest):
-    """Reject a manifest whose fields have the wrong type, naming the field."""
-    for name, (optional, check, want) in _MANIFEST_FIELDS.items():
-        if name not in manifest:
-            if optional:
-                continue
-            raise ValueError(f"manifest.json lacks the {name!r} field")
-        if not check(manifest[name]):
-            raise ValueError(f"manifest.json field {name!r} is {manifest[name]!r}, "
-                             f"expected {want}")
+# every field `save_dataset` writes, each required; the versions come first,
+# so a manifest of another format fails on its version, not on its fields
+_MANIFEST_SCHEMA = {name: kind._replace(required=True) for name, kind in {
+    "format_version": fileio.Kind(f"{FORMAT_VERSION}, the format this build reads",
+                                  lambda v: fileio.INT.ok(v) and v == FORMAT_VERSION),
+    "oracle_version": fileio.Kind(f"{ORACLE_VERSION}, the oracle this build labels with",
+                                  lambda v: fileio.INT.ok(v) and v == ORACLE_VERSION),
+    **SPEC_SCHEMA,
+    "counts": per_split(fileio.INT),
+    "pair_set": fileio.list_of(fileio.Kind("a pair", lambda v: fileio.INTS.ok(v) and len(v) == 2),
+                               "a list of class pairs"),
+    "class_range": fileio.INTS,
+    "checksums": per_split(fileio.STR),
+    "pools": fileio.nullable(per_split(fileio.obj({"source": fileio.STR, "labels": fileio.STR,
+                                                   "offset": fileio.COUNT,
+                                                   "count": fileio.COUNT}))),
+}.items()}
 
 
 def _overlapping(windows: dict, wanted) -> set:
@@ -496,37 +469,16 @@ def load_dataset(path, pools: dict = None, splits=SPLITS) -> Dataset:
     dataset holds every split read, and split purity is checked over them.
     """
     with open(os.path.join(path, "manifest.json")) as f:
-        manifest = json.load(f)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"manifest.json holds {type(manifest).__name__}, not an object")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format version {manifest.get('format_version')}")
-    if manifest.get("oracle_version") != ORACLE_VERSION:
-        raise ValueError(f"dataset was labelled by oracle version {manifest.get('oracle_version')}, "
-                         f"this build expects {ORACLE_VERSION}")
-    _check_manifest(manifest)
-
-    spec = DatasetSpec(
-        task=manifest["task"],
-        mode=manifest["mode"],
-        set_size=manifest["set_size"] if isinstance(manifest["set_size"], int)
-        else tuple(manifest["set_size"]),
-        counts=tuple(manifest["counts"][s] for s in SPLITS),
-        seed=manifest["seed"],
-        noise=manifest.get("noise", 0.0),
-        pair_count=manifest.get("pair_count", 0),
-    )
+        manifest = fileio.check_fields(json.load(f), _MANIFEST_SCHEMA, "manifest.json")
+    spec = DatasetSpec.from_json({**manifest,
+                                  "counts": [manifest["counts"][s] for s in SPLITS]})
     task = oracle.TaskSpec(manifest["task"], pair_set=tuple(tuple(p) for p in manifest["pair_set"]))
 
     read = set(splits)
     if spec.mode == "image" and pools is None:
-        if manifest.get("pools") is None:
-            raise ValueError("manifest.json field 'pools' is empty in image mode")
         entries = manifest["pools"]
-        for split, info in entries.items():
-            if "labels" not in info:
-                raise ValueError(f"manifest pool entry for {split!r} lacks the 'labels' key "
-                                 f"naming its labels file; regenerate the dataset")
+        if entries is None:
+            raise ValueError("manifest.json field 'pools' is empty in image mode")
         read |= _overlapping({s: (entries[s]["source"], entries[s]["offset"],
                                   entries[s]["count"]) for s in SPLITS}, splits)
         pools = {s: build_pool(entries[s]["source"], entries[s]["labels"], s,

@@ -21,11 +21,12 @@ of per-position [batch, features] matrices; one bag is a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import fileio
 
 FAMILIES = ("deepset", "attention", "rnn", "lstm", "gru")
 SEQUENTIAL = ("rnn", "lstm", "gru")
@@ -66,22 +67,9 @@ class ModelSpec:
             "dec_layers": self.dec_layers,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModelSpec":
-        """The spec a `to_json` object describes; raises ValueError naming
-        the first field that is missing, unknown or of the wrong type."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"model spec is {type(obj).__name__}, not an object")
-        if "family" not in obj:
-            raise ValueError("model spec lacks the 'family' field")
-        # annotations are strings ("str", "bool", "int"); bool is not an int here
-        types = {f.name: f.type for f in fields(cls)}
-        for name, value in obj.items():
-            if name not in types:
-                raise ValueError(f"unknown model field {name!r}")
-            if type(value).__name__ != types[name]:
-                raise ValueError(f"model field {name!r} is {value!r}, expected {types[name]}")
-        return cls(**obj)
+
+# a model spec's JSON fields, as run configs and checkpoint.json hold them
+MODEL_SCHEMA = fileio.spec_schema(ModelSpec)
 
 
 def _add_linear(store: ad.ParamStore, rng, path: str, fan_in: int, fan_out: int):

@@ -50,14 +50,18 @@ class RunConfig:
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict) -> "RunConfig":
-        obj = dict(obj)
-        obj["model"] = models.ModelSpec.from_json(obj["model"])
-        return cls(**obj)
+    def from_json(cls, obj, where: str = "run config") -> "RunConfig":
+        """The config a `to_json` object describes; a field that is missing,
+        unknown or of the wrong kind raises ValueError naming `where`."""
+        fileio.check_fields(obj, RUN_SCHEMA, where)
+        return cls(**{**obj, "model": models.ModelSpec(**obj["model"])})
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+RUN_SCHEMA = fileio.spec_schema(RunConfig, model=fileio.obj(models.MODEL_SCHEMA))
 
 
 @dataclass
@@ -210,23 +214,17 @@ def write_outputs(result: TrainResult):
                        })
 
 
+_CHECKPOINT_SCHEMA = {"model": fileio.obj(models.MODEL_SCHEMA), "dataset": fileio.STR,
+                      "seed": fileio.INT, "config_hash": fileio.STR}
+
+
 def load_params(checkpoint_path) -> ad.ParamStore:
-    """Rebuild a ParamStore from checkpoint.capn plus its .json sidecar. A
-    sidecar that is not an object, or whose `model` or `seed` field has the
-    wrong type, raises ValueError naming the field."""
+    """Rebuild a ParamStore from checkpoint.capn plus its .json sidecar, whose
+    fields are checked first; a bad one raises ValueError naming it."""
     meta_path = os.path.splitext(checkpoint_path)[0] + ".json"
     with open(meta_path) as f:
-        meta = json.load(f)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{meta_path} holds {type(meta).__name__}, not an object")
-    seed = meta.get("seed", 0)
-    if type(seed) is not int:
-        raise ValueError(f"{meta_path} field 'seed' is {seed!r}, expected an int")
-    try:
-        spec = models.ModelSpec.from_json(meta.get("model"))
-    except ValueError as exc:
-        raise ValueError(f"{meta_path} field 'model': {exc}") from exc
-    params = models.init_model(spec, seed)
+        meta = fileio.check_fields(json.load(f), _CHECKPOINT_SCHEMA, meta_path)
+    params = models.init_model(models.ModelSpec(**meta["model"]), meta["seed"])
     params.load_state_dict(ad.load_checkpoint(checkpoint_path))
     return params
 

@@ -62,7 +62,7 @@ def test_add_mul_with_broadcasting():
 
 def test_sub_neg_rsub():
     x = RNG.normal(size=(5,))
-    check_grads(lambda t: ad.reduce_sum(1.0 - (-t) - t * 0.5), [x])
+    check_grads(lambda t: ad.reduce_sum(1.0 - t - t * 0.5), [x])
 
 
 def test_matmul_and_linear():

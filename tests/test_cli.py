@@ -82,6 +82,9 @@ def test_generate_rejects_bad_config(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 2
     cfg2 = write_json(tmp_path / "extra.json", {"task": "US", "bogus_key": 1})
     assert cli.main(["generate", "--config", cfg2, "--out", str(tmp_path / "o")]) == 2
+    assert "extra.json has unknown field 'bogus_key'" in capsys.readouterr().err
+    assert cli.main(["generate", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert "Is a directory" in capsys.readouterr().err
 
 
 def image_config(tmp_path, windows, pool_dir="images"):
@@ -119,13 +122,24 @@ def test_generate_rejects_overlapping_pool_windows(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit, why", [
-    (lambda c: c["pools"].update(val="val-images"), "pool 'val' is 'val-images', expected an object"),
-    (lambda c: c["pools"]["val"].update(offset="5"), "pool 'val' field 'offset' is '5'"),
-    (lambda c: c["pools"]["test"].update(count=2.5), "pool 'test' field 'count' is 2.5"),
-    (lambda c: c["pools"]["train"].update(offset=-1), "pool 'train' field 'offset' is -1"),
-    (lambda c: c["pools"]["train"].update(images=3), "pool 'train' field 'images' is 3"),
-    (lambda c: c.update(pools=[1]), "'pools' is [1], expected an object"),
-    (lambda c: [c], "holds list, not an object"),
+    (lambda c: c["pools"].update(val="val-images"),
+     "image.json field 'pools.val' is 'val-images', expected an object"),
+    (lambda c: c["pools"]["val"].update(offset="5"), "image.json field 'pools.val.offset' is '5'"),
+    (lambda c: c["pools"]["test"].update(count=2.5), "image.json field 'pools.test.count' is 2.5"),
+    (lambda c: c["pools"]["train"].update(offset=-1),
+     "image.json field 'pools.train.offset' is -1, expected an int >= 0"),
+    (lambda c: c["pools"]["train"].update(images=3), "image.json field 'pools.train.images' is 3"),
+    (lambda c: c.update(pools=[1]), "image.json field 'pools' is [1], expected an object"),
+    (lambda c: [c], "image.json holds list, not an object"),
+    (lambda c: c.update(counts=[True, 10, 10]),
+     "image.json field 'counts' is [True, 10, 10], expected a list of ints"),
+    (lambda c: c.update(counts=[40.5, 10, 10]), "image.json field 'counts' is [40.5, 10, 10]"),
+    (lambda c: c.update(set_size=[3, 4.5]),
+     "image.json field 'set_size' is [3, 4.5], expected an int or a non-empty list of ints"),
+    (lambda c: c.update(set_size="3"), "image.json field 'set_size' is '3'"),
+    (lambda c: c.update(seed=1.5), "image.json field 'seed' is 1.5, expected an int"),
+    (lambda c: c.update(pair_count="2"), "image.json field 'pair_count' is '2', expected an int"),
+    (lambda c: c["pools"]["val"].update(images="."), "Is a directory: '.'"),
 ])
 def test_malformed_dataset_configs_name_the_field_and_exit_2(tmp_path, capsys, edit, why):
     path = image_config(tmp_path, {"train": (0, 30), "val": (30, 15), "test": (45, 15)})
@@ -237,25 +251,29 @@ def test_split_with_missing_bags_exits_2(tmp_path, capsys):
     assert "test.jsonl holds 1 bags" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [
-    ("counts", 5), ("counts", {"train": 20, "val": "5", "test": 5}), ("set_size", None),
-    ("set_size", []), ("set_size", [3, "4"]), ("pair_set", 7), ("pair_set", [[1, 2, 3]]),
-    ("checksums", []), ("checksums", {"train": 1}), ("noise", "a"), ("noise", True),
-    ("seed", "x"), ("seed", 1.5), ("pair_count", None), ("pools", 3),
-    ("pools", {"train": {"source": 1, "offset": 0, "count": 5}}),
+@pytest.mark.parametrize("field, value, named", [
+    ("counts", 5, "counts"), ("counts", {"train": 20, "val": "5", "test": 5}, "counts.val"),
+    ("set_size", None, "set_size"), ("set_size", [], "set_size"),
+    ("set_size", [3, "4"], "set_size"),
+    ("pair_set", 7, "pair_set"), ("pair_set", [[1, 2, 3]], "pair_set"),
+    ("checksums", [], "checksums"), ("checksums", {"train": 1}, "checksums.train"),
+    ("noise", "a", "noise"), ("noise", True, "noise"), ("seed", "x", "seed"),
+    ("seed", 1.5, "seed"), ("pair_count", None, "pair_count"), ("pools", 3, "pools"),
+    ("pools", {"train": {"source": 1, "offset": 0, "count": 5}}, "pools.train.source"),
 ])
-def test_wrong_type_manifest_fields_name_the_field_and_exit_2(tmp_path, capsys, field, value):
+def test_wrong_type_manifest_fields_name_the_field_and_exit_2(tmp_path, capsys, field, value,
+                                                              named):
     ds = dataset_dir(tmp_path, counts=(20, 5, 5))
     manifest_path = os.path.join(ds, "manifest.json")
     with open(manifest_path) as f:
         manifest = json.load(f)
     manifest[field] = value
     write_json(manifest_path, manifest)
-    with pytest.raises(ValueError, match=f"^manifest.json field '{field}' is "):
+    with pytest.raises(ValueError, match=f"^manifest.json field '{named}' is "):
         data.load_dataset(ds)
     assert cli.main(["train", "--config", train_config(tmp_path, ds),
                      "--out", str(tmp_path / "o")]) == 2
-    assert f"manifest.json field '{field}'" in capsys.readouterr().err
+    assert f"manifest.json field '{named}' is " in capsys.readouterr().err
 
 
 def test_manifest_must_be_an_object_with_every_field(tmp_path):
@@ -353,6 +371,80 @@ def test_damaged_split_files_load_or_exit_2(tmp_path, draw):
         assert text == line or fix_checksum
     cfg = train_config(tmp_path, str(ds), epochs=1, batch_size=10)
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) in (0, 2)
+
+
+def _fold_ints(value):
+    """`value` with every int folded into -4..36, so that a draw of the right
+    kinds asks for a run of a few small bags; how far a run scales is not
+    what the config fuzz checks."""
+    if type(value) is int:
+        return value % 41 - 4
+    if type(value) is list:
+        return [_fold_ints(v) for v in value]
+    if type(value) is dict:
+        return {k: _fold_ints(v) for k, v in value.items()}
+    return value
+
+
+def _field_paths(config: dict, prefix=()) -> list:
+    paths = []
+    for key, value in config.items():
+        paths.append(prefix + (key,))
+        if type(value) is dict:
+            paths += _field_paths(value, prefix + (key,))
+    return paths
+
+
+@st.composite
+def damaged_config(draw, config: dict) -> dict:
+    """`config` with one field, at any depth, dropped or replaced by
+    arbitrary JSON."""
+    config = json.loads(json.dumps(config))
+    *parents, key = draw(st.sampled_from(_field_paths(config)))
+    holder = config
+    for name in parents:
+        holder = holder[name]
+    if draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = _fold_ints(draw(_JSON))
+    return config
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_damaged_configs_exit_0_or_2(tmp_path, monkeypatch, capsys, draw):
+    """Fuzz the config readers: `generate`, `train` and `sweep` on a config
+    with one field dropped or replaced exit 0 or 2, never 3, except when
+    training diverges, a runtime failure by design. A dataset that
+    `generate` writes loads."""
+    monkeypatch.chdir(tmp_path)  # a drawn relative path resolves in here
+    monkeypatch.delenv("CAPNET_DATA_DIR", raising=False)
+    if not (tmp_path / "base").exists():
+        image_config(tmp_path, {"train": (0, 30), "val": (30, 15), "test": (45, 15)})
+        dataset_dir(tmp_path, name="base", counts=(20, 5, 5))
+    with open(tmp_path / "image.json") as f:
+        dataset = dict(json.load(f), noise=0.0, pair_count=5)
+    ds = str(tmp_path / "base")
+    run = {"dataset": ds, "model": SMALL_MODEL, "lr": 0.001, "batch_size": 10, "epochs": 1,
+           "seed": 0, "reg_lambda": 0.0, "reg_threshold": 1.0,
+           "shuffle_instances_per_epoch": True}
+    sweep = {"dataset": ds, "families": ["gru", "c-gru"], "seeds": [0], "train_sizes": [10],
+             "train": {"batch_size": 10, "epochs": 1},
+             "model": {"embed_dim": 8, "hidden_dim": 6, "enc_layers": 2, "dec_layers": 2}}
+    command, config = draw.draw(st.sampled_from(
+        [("generate", dataset), ("train", run), ("sweep", sweep)]))
+    path = write_json(tmp_path / "fuzzed.json", draw.draw(damaged_config(config)))
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    code = cli.main([command, "--config", path, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2) or (code == 3 and "run failed: non-finite loss" in err), err
+    if command == "generate" and code == 0:
+        data.load_dataset(out)
 
 
 def test_train_rejects_penalty_on_baseline(tmp_path, capsys):
@@ -480,13 +572,15 @@ def test_eval_truncated_checkpoint(trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit, field", [
-    (lambda m: m.update(model={"family": 5}), "'model': model field 'family' is 5"),
-    (lambda m: m["model"].update(hidden_dim="4"), "'model': model field 'hidden_dim' is '4'"),
-    (lambda m: m["model"].update(capacity=1), "'model': model field 'capacity' is 1"),
-    (lambda m: m["model"].update(depth=2), "'model': unknown model field 'depth'"),
-    (lambda m: m.update(model=[1]), "'model': model spec is list"),
-    (lambda m: m.update(seed="x"), "'seed' is 'x'"),
-    (lambda m: [m], "holds list, not an object"),
+    (lambda m: m.update(model={"family": 5}),
+     "c.json field 'model.family' is 5, expected a string"),
+    (lambda m: m["model"].update(hidden_dim="4"), "c.json field 'model.hidden_dim' is '4'"),
+    (lambda m: m["model"].update(capacity=1),
+     "c.json field 'model.capacity' is 1, expected a bool"),
+    (lambda m: m["model"].update(depth=2), "c.json has unknown field 'model.depth'"),
+    (lambda m: m.update(model=[1]), "c.json field 'model' is [1], expected an object"),
+    (lambda m: m.update(seed="x"), "c.json field 'seed' is 'x', expected an int"),
+    (lambda m: [m], "c.json holds list, not an object"),
 ])
 def test_malformed_checkpoint_json_names_the_field_and_exit_2(trained, tmp_path, capsys,
                                                               edit, field):
@@ -680,6 +774,48 @@ def test_sweep_config_validation(tmp_path, capsys):
     cfg4 = write_json(tmp_path / "list.json", [{"dataset": ds}])
     assert cli.main(["sweep", "--config", cfg4, "--out", str(tmp_path / "o")]) == 2
     assert "holds list, not an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, edit, why", [
+    ("train", {"dataset": 5}, "run.json field 'dataset' is 5, expected a string"),
+    ("train", {"model": "gru"}, "run.json field 'model' is 'gru', expected an object"),
+    ("train", {"model": None}, "run.json field 'model' is None, expected an object"),
+    ("train", {"lr": "0.001"}, "run.json field 'lr' is '0.001', expected a finite number"),
+    ("train", {"lr": float("nan")}, "run.json field 'lr' is nan, expected a finite number"),
+    ("train", {"batch_size": True}, "run.json field 'batch_size' is True, expected an int"),
+    ("train", {"epochs": 1.5}, "run.json field 'epochs' is 1.5, expected an int"),
+    ("train", {"seed": "x"}, "run.json field 'seed' is 'x', expected an int"),
+    ("train", {"reg_lambda": "1"}, "run.json field 'reg_lambda' is '1', expected a finite number"),
+    ("train", {"reg_threshold": None},
+     "run.json field 'reg_threshold' is None, expected a finite number"),
+    ("train", {"shuffle_instances_per_epoch": "no"},
+     "run.json field 'shuffle_instances_per_epoch' is 'no', expected a bool"),
+    ("train", {"depth": 3}, "run.json has unknown field 'depth'"),
+    ("sweep", {"seeds": "01"}, "sweep.json field 'seeds' is '01', expected a list of ints"),
+    ("sweep", {"seeds": [1.7]}, "sweep.json field 'seeds' is [1.7], expected a list of ints"),
+    ("sweep", {"train_sizes": [20.5]},
+     "sweep.json field 'train_sizes' is [20.5], expected a list of ints"),
+    ("sweep", {"families": [5]}, "sweep.json field 'families' is [5], expected a list of strings"),
+    ("sweep", {"train": {"lr": "0.1"}},
+     "sweep.json field 'train.lr' is '0.1', expected a finite number"),
+    ("sweep", {"train": {"dataset": "x"}}, "sweep.json has unknown field 'train.dataset'"),
+    ("sweep", {"model": {"hidden_dim": "4"}},
+     "sweep.json field 'model.hidden_dim' is '4', expected an int"),
+    ("sweep", {"model": {"family": "gru"}}, "sweep.json has unknown field 'model.family'"),
+])
+def test_malformed_run_and_sweep_configs_name_the_field_and_exit_2(tmp_path, capsys, command,
+                                                                   edit, why):
+    """Every RunConfig field, and the sweep config's own fields and
+    sections, with a value of the wrong kind."""
+    ds = dataset_dir(tmp_path, counts=(20, 5, 5))
+    if command == "train":
+        cfg = write_json(tmp_path / "run.json", {"dataset": ds, "model": SMALL_MODEL,
+                                                 "batch_size": 10, "epochs": 1, **edit})
+    else:
+        cfg = sweep_config(tmp_path, ds, **edit)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert why in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 # -- report -----------------------------------------------------------------
