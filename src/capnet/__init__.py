@@ -8,7 +8,7 @@ routines; `capnet.cli` drives all of it from JSON configs.
 __version__ = "0.1.0"
 
 from .autodiff import Adam, ParamStore, Tensor
-from .data import Bag, Dataset, DatasetSpec, generate_dataset, load_dataset, save_dataset
+from .data import Dataset, DatasetSpec, Split, generate_dataset, load_dataset, save_dataset
 from .evaluate import (evaluate_mse, intermediate_mae, permutation_sensitivity,
                        pseudo_report, rounded_accuracy)
 from .models import ModelSpec, batch_forward, init_model
@@ -16,7 +16,7 @@ from .oracle import TaskSpec, decompose, eval_task, sample_pair_set, triangular
 from .train import RunConfig, batch_loss, multi_seed, train_run
 
 __all__ = [
-    "Adam", "Bag", "Dataset", "DatasetSpec", "ModelSpec", "ParamStore", "RunConfig",
+    "Adam", "Dataset", "DatasetSpec", "ModelSpec", "ParamStore", "RunConfig", "Split",
     "TaskSpec", "Tensor", "batch_forward", "batch_loss", "decompose", "eval_task",
     "evaluate_mse", "generate_dataset", "init_model", "intermediate_mae", "load_dataset",
     "multi_seed", "permutation_sensitivity", "pseudo_report", "rounded_accuracy",

@@ -124,11 +124,9 @@ def cmd_eval(args) -> int:
     split = args.split
 
     if "mse" in metrics:
-        rows = [(s, evaluate.evaluate_mse(params, ds, s)) for s in (split,)]
-        _write_csv(os.path.join(args.out, "mse.csv"), ["split", "mse"],
-                   [[s, repr(v)] for s, v in rows])
-        for s, v in rows:
-            print(f"mse[{s}] = {v:.6f}")
+        mse = evaluate.evaluate_mse(params, ds, split)
+        _write_csv(os.path.join(args.out, "mse.csv"), ["split", "mse"], [[split, repr(mse)]])
+        print(f"mse[{split}] = {mse:.6f}")
 
     if "intermediates" in metrics:
         if params.spec.capacity:
@@ -143,11 +141,8 @@ def cmd_eval(args) -> int:
 
     if "permsens" in metrics:
         sens = evaluate.permutation_sensitivity(params, ds, split, k=args.k, seed=args.seed or 0)
-        rows = [[i, repr(v)] for i, v in enumerate(sens["mse"])]
-        rows.append(["mean", repr(sens["mean"])])
-        rows.append(["median", repr(sens["median"])])
-        rows.append(["stdev", repr(sens["stdev"])])
-        rows.append(["spread", repr(sens["spread"])])
+        rows = [[i, repr(v)] for i, v in enumerate(sens["mse"])] + [
+            [k, repr(sens[k])] for k in ("mean", "median", "stdev", "spread")]
         _write_csv(os.path.join(args.out, "permsens.csv"), ["pass", "mse"], rows)
         print(f"permutation sensitivity[{split}]: mean {sens['mean']:.6f}, "
               f"spread {sens['spread']:.3g} over {args.k} passes")
@@ -199,14 +194,11 @@ def cmd_sweep(args) -> int:
     for size in (train_sizes or [None]):
         if size is None:
             ds = full
-        elif size > len(full.splits["train"]):
-            raise UsageError(f"train size {size} exceeds dataset train split "
-                             f"{len(full.splits['train'])}")
+        elif not 0 < size <= len(full.splits["train"]):
+            raise UsageError(f"train size {size} is outside 1..{len(full.splits['train'])}, "
+                             "the dataset's train split")
         else:
-            ds = data.Dataset(full.spec, full.task,
-                              {"train": full.splits["train"][:size],
-                               "val": full.splits["val"], "test": full.splits["test"]},
-                              pools=full.pools, manifest=full.manifest)
+            ds = replace(full, splits={**full.splits, "train": full.splits["train"].head(size)})
         for label in config["families"]:
             spec = _family_spec(label, base_model)
             lam = base_train.get("reg_lambda", 0.0)
@@ -236,16 +228,11 @@ def cmd_sweep(args) -> int:
     for cell, agg in zip(cells, results):
         label = cell["label"]
         # capacity-minus-baseline gap on test medians, when both cells exist
-        delta = ""
-        if label.startswith("c-"):
-            base = by_key.get((label[2:], cell["size"]))
-            if base is not None:
-                delta = repr(agg["test_mse"]["median"] - base["test_mse"]["median"])
-        rows.append([label, cell["size"], ";".join(str(s) for s in seeds),
-                     repr(agg["val_mse"]["mean"]), repr(agg["val_mse"]["median"]),
-                     repr(agg["val_mse"]["stdev"]),
-                     repr(agg["test_mse"]["mean"]), repr(agg["test_mse"]["median"]),
-                     repr(agg["test_mse"]["stdev"]), delta])
+        base = by_key.get((label[2:], cell["size"])) if label.startswith("c-") else None
+        delta = "" if base is None else repr(agg["test_mse"]["median"] - base["test_mse"]["median"])
+        rows.append([label, cell["size"], ";".join(str(s) for s in seeds)]
+                    + [repr(agg[m][k]) for m in ("val_mse", "test_mse")
+                       for k in ("mean", "median", "stdev")] + [delta])
     _write_csv(os.path.join(args.out, "sweep.csv"), header, rows)
     for row in rows:
         gap = f", delta {float(row[9]):+.4f}" if row[9] else ""

@@ -1,8 +1,9 @@
 """Bag datasets: IDX image ingestion, oracle-labelled generation, persistence.
 
-A dataset is three splits (train/val/test) of `Bag`s plus a manifest that
-records everything needed to regenerate or re-validate it: task, pair set,
-seed, per-split checksums. Bags are stored as JSON Lines, one per line:
+A dataset is three splits (train/val/test) plus a manifest that records
+everything needed to regenerate or re-validate it: task, pair set, seed,
+per-split checksums. In memory a split is a `Split` of per-size int64
+arrays; on disk it is JSON Lines, one bag per line:
 
     {"classes": [8, 5, 8], "img_idx": [-1, -1, -1], "label": 13}
 
@@ -11,23 +12,23 @@ one-hots) or fetched from an image pool (image mode) at batch time.
 
 Generation runs in shards of 1024 bags, each with its own seeded stream.
 A symbolic shard of one set size draws its classes in one [shard, n] call;
-mixed set sizes and image mode draw bag by bag. Each shard is labelled by
-one `oracle.decompose_batch` pass per set size, summed over positions.
-Loading checks versions and checksums, then each split's records: bag
-count, set sizes, class ids, image indices and labels. A caller names the
+mixed set sizes and image mode draw bag by bag. Labels come from
+`oracle.decompose_batch`, summed over positions, in chunks of 1024 rows.
+Loading checks versions and checksums, then each split's records as
+arrays, every label against the oracle included. A caller names the
 splits it uses, and only those are read.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
 import struct
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ FORMAT_VERSION = 1
 ORACLE_VERSION = 1
 SPLITS = ("train", "val", "test")
 _GENERATION_SHARD = 1024
+_LABEL_CHUNK = 1024
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -152,23 +154,83 @@ def build_pool(images_path, labels_path, split, offset=0, count=None) -> ImagePo
                      source=str(images_path), offset=offset, labels_source=str(labels_path))
 
 
-# -- bags and specs --------------------------------------------------------
+# -- bags, splits and specs -------------------------------------------------
 
-@dataclass
-class Bag:
+class Bag(NamedTuple):
+    """One bag as plain values: the per-bag view of a `Split`."""
     classes: list
-    label: float
-    img_idx: list = None
-
-    def __post_init__(self):
-        if self.img_idx is None:
-            self.img_idx = [-1] * len(self.classes)
-        if len(self.img_idx) != len(self.classes):
-            raise ValueError("img_idx length differs from classes length")
+    label: int
+    img_idx: list
 
     @property
     def size(self) -> int:
         return len(self.classes)
+
+
+class Split:
+    """The bags of one split as per-size arrays.
+
+    `groups` maps each set size n, ascending, to (rows[B], classes[B, n],
+    img_idx[B, n], labels[B]), all int64. `rows` are the bags' stored
+    positions, ascending within a group; image indices are -1 in symbolic
+    mode. `len` and `split[i]`, and so iteration, give a read-only per-bag
+    view, `Bag` records in stored order, for checks and tests.
+    """
+
+    def __init__(self, groups: dict):
+        self.groups = dict(sorted(groups.items()))
+
+    def __len__(self) -> int:
+        return sum(len(group[0]) for group in self.groups.values())
+
+    def __getitem__(self, i: int) -> Bag:
+        for rows, classes, img_idx, labels in self.groups.values():
+            j = np.searchsorted(rows, i)
+            if j < len(rows) and rows[j] == i:
+                return Bag(classes[j].tolist(), int(labels[j]), img_idx[j].tolist())
+        raise IndexError(f"no bag {i} in a split of {len(self)}")
+
+    def head(self, count: int) -> "Split":
+        """The first `count` bags in stored order."""
+        cuts = {n: np.searchsorted(group[0], count) for n, group in self.groups.items()}
+        return Split({n: tuple(a[:cuts[n]] for a in group)
+                      for n, group in self.groups.items() if cuts[n]})
+
+    def labels(self) -> np.ndarray:
+        """Every bag's label, in stored order."""
+        out = np.empty(len(self), dtype=np.int64)
+        for rows, _, _, labels in self.groups.values():
+            out[rows] = labels
+        return out
+
+    def images(self) -> np.ndarray:
+        """The distinct image indices the bags use, ascending (-1 included)."""
+        used = np.concatenate([group[2].ravel() for group in self.groups.values()])
+        return np.flatnonzero(np.bincount(used + 1)) - 1
+
+
+def _grouped(classes: list, img_idx: list, *labels: list) -> dict:
+    """Per-bag lists in stored order as `Split` groups, without labels unless
+    given; ValueError (from `np.array` for a ragged list) when a value is not an int."""
+    sizes = np.fromiter(map(len, classes), dtype=np.int64, count=len(classes))
+    groups = {}
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == n)
+        arrays = [np.array(col if len(rows) == len(col) else [col[i] for i in rows.tolist()])
+                  for col in (classes, img_idx, *labels)]
+        shapes = [(len(rows), n), (len(rows), n), (len(rows),)]
+        if any(a.dtype != np.int64 or a.shape != shape for a, shape in zip(arrays, shapes)):
+            raise ValueError(f"a bag of {n} holds a value that is not an int")
+        groups[n] = (rows, *arrays)
+    return groups
+
+
+def _oracle_labels(task: oracle.TaskSpec, classes: np.ndarray) -> np.ndarray:
+    """The oracle label of each row of a [B, n] class array, as int64, one
+    `oracle.decompose_batch` call per 1024 rows to bound its temporaries."""
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        oracle.decompose_batch(task, classes[s:s + _LABEL_CHUNK]).sum(axis=1)
+        for s in range(0, len(classes), _LABEL_CHUNK)])
 
 
 @dataclass(frozen=True)
@@ -191,8 +253,8 @@ class DatasetSpec:
         for n in self.sizes():
             if n < 1:
                 raise ValueError(f"set size {n} < 1")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not (self.noise >= 0 and math.isfinite(2 * self.noise)):
+            raise ValueError(f"noise must be >= 0 with 2 * noise finite, got {self.noise}")
         if self.mode == "image" and self.noise > 0:
             raise ValueError("feature noise applies to symbolic mode only")
         if self.task == "Mult":
@@ -231,7 +293,7 @@ SPEC_SCHEMA = fileio.spec_schema(DatasetSpec, counts=fileio.INTS, set_size=filei
 class Dataset:
     spec: DatasetSpec
     task: oracle.TaskSpec
-    splits: dict
+    splits: dict  # split name -> Split
     pools: dict = None
     manifest: dict = None
 
@@ -253,39 +315,32 @@ def generate_dataset(spec: DatasetSpec, pools: dict = None) -> Dataset:
     A symbolic shard of one set size draws all its classes in one
     [shard, n] call, which consumes the stream exactly as one call per bag
     does. Mixed set sizes and image mode interleave other draws between
-    bags, so they draw bag by bag. Every shard is labelled with one
-    `oracle.decompose_batch` pass per set size.
+    bags, so they draw bag by bag. `_oracle_labels` labels each size group.
     """
-    if spec.mode == "image":
-        if pools is None or any(s not in pools for s in SPLITS):
-            raise ValueError("image mode requires a pool for every split")
-    if spec.task == "USS":
-        pair_set = oracle.sample_pair_set(spec.seed, spec.pair_count)
-    else:
-        pair_set = ()
+    if spec.mode == "image" and (pools is None or any(s not in pools for s in SPLITS)):
+        raise ValueError("image mode requires a pool for every split")
+    pair_set = oracle.sample_pair_set(spec.seed, spec.pair_count) if spec.task == "USS" else ()
     task = oracle.TaskSpec(spec.task, pair_set=pair_set)
     low, high = task.class_range
     sizes = spec.sizes()
+    one_draw = spec.mode == "symbolic" and len(sizes) == 1
 
     splits = {}
     for split_idx, split in enumerate(SPLITS):
         count = spec.counts[split_idx]
         pool = pools[split] if spec.mode == "image" else None
-        bags = []
+        classes, img_idx = [], []
         for shard_start in range(0, count, _GENERATION_SHARD):
             shard_len = min(_GENERATION_SHARD, count - shard_start)
-            rng = np.random.default_rng(
-                np.random.SeedSequence((spec.seed, split_idx, shard_start // _GENERATION_SHARD))
-            )
-            if pool is None and len(sizes) == 1:
-                classes = rng.integers(low, high + 1, size=(shard_len, sizes[0]))
-                labels = oracle.decompose_batch(task, classes).sum(axis=1).tolist()
-                bags += map(Bag, classes.tolist(), labels)
+            rng = np.random.default_rng(np.random.SeedSequence(
+                (spec.seed, split_idx, shard_start // _GENERATION_SHARD)))
+            if one_draw:
+                classes += rng.integers(low, high + 1, size=(shard_len, sizes[0])).tolist()
+                img_idx += [[-1] * sizes[0]] * shard_len
             else:
-                shard = _draw_bags(rng, shard_len, sizes, low, high, pool, split)
-                _label_bags(task, shard)
-                bags += shard
-        splits[split] = bags
+                _draw_bags(rng, shard_len, sizes, low, high, pool, split, classes, img_idx)
+        splits[split] = Split({n: (*group, _oracle_labels(task, group[1]))
+                               for n, group in _grouped(classes, img_idx).items()})
 
     ds = Dataset(spec, task, splits, pools=pools)
     check_split_purity(ds)
@@ -293,50 +348,28 @@ def generate_dataset(spec: DatasetSpec, pools: dict = None) -> Dataset:
     return ds
 
 
-def _draw_bags(rng, count: int, sizes: tuple, low: int, high: int, pool, split: str) -> list:
-    """`count` unlabelled bags drawn one at a time: the set size when there
-    are several, the classes, then each instance's image."""
-    bags = []
+def _draw_bags(rng, count: int, sizes: tuple, low: int, high: int, pool, split: str,
+               classes: list, img_idx: list):
+    """Append `count` bags, drawn one at a time, to `classes` and `img_idx`:
+    the set size when there are several, the classes, then each image."""
     for _ in range(count):
         n = sizes[rng.integers(len(sizes))] if len(sizes) > 1 else sizes[0]
-        classes = rng.integers(low, high + 1, size=n).tolist()
+        drawn = rng.integers(low, high + 1, size=n).tolist()
+        images = [-1] * n
         if pool is not None:
-            img_idx = []
-            for c in classes:
+            for pos, c in enumerate(drawn):
                 candidates = pool.indices_for_class(c)
                 if len(candidates) == 0:
                     raise ValueError(f"class {c} absent from {split} pool")
-                img_idx.append(int(candidates[rng.integers(len(candidates))]))
-        else:
-            img_idx = None
-        bags.append(Bag(classes, 0, img_idx))
-    return bags
+                images[pos] = int(candidates[rng.integers(len(candidates))])
+        classes.append(drawn)
+        img_idx.append(images)
 
 
-def _label_bags(task: oracle.TaskSpec, bags: list):
-    """Set every bag's label, one batch oracle pass per set size."""
-    by_size = {}
-    for bag in bags:
-        by_size.setdefault(bag.size, []).append(bag)
-    for group in by_size.values():
-        labels = oracle.decompose_batch(task, [b.classes for b in group]).sum(axis=1)
-        for bag, label in zip(group, labels.tolist()):
-            bag.label = label
-
-
-def validate_labels(ds: Dataset):
-    """Re-check every stored label against the oracle (exact integers), one
-    size group at a time; an error names the split's first bad bag."""
-    for split, bags in ds.splits.items():
-        first = None
-        for idx, classes, _, labels in group_by_size(bags).values():
-            expected = oracle.decompose_batch(ds.task, classes).sum(axis=1)
-            bad = np.flatnonzero(labels != expected)
-            if bad.size and (first is None or idx[bad[0]] < first[0]):
-                first = (int(idx[bad[0]]), int(expected[bad[0]]))
-        if first is not None:
-            i, expected = first
-            raise ValueError(f"{split} bag {i}: stored label {bags[i].label} != oracle {expected}")
+def validate_labels(task: oracle.TaskSpec, split: Split) -> bool:
+    """Whether every stored label of `split` equals the oracle's."""
+    return all(np.array_equal(labels, _oracle_labels(task, classes))
+               for _, classes, _, labels in split.groups.values())
 
 
 def check_split_purity(ds: Dataset):
@@ -346,8 +379,8 @@ def check_split_purity(ds: Dataset):
     used = {}
     for split, bags in ds.splits.items():
         pool = ds.pools[split]
-        idx = np.fromiter(itertools.chain.from_iterable(b.img_idx for b in bags), dtype=np.int64)
-        mine = pool.offset + np.flatnonzero(np.bincount(idx[idx >= 0]))  # sorted, unique
+        idx = bags.images()
+        mine = pool.offset + idx[idx >= 0]
         for owner, (source, theirs) in used.items():
             if source != pool.source:
                 continue
@@ -358,8 +391,8 @@ def check_split_purity(ds: Dataset):
         used[split] = (pool.source, mine)
 
 
-def label_stats(bags) -> dict:
-    labels = np.array([bag.label for bag in bags], dtype=np.float64)
+def label_stats(split: Split) -> dict:
+    labels = split.labels().astype(np.float64)
     return {
         "count": len(labels),
         "mean": float(labels.mean()),
@@ -397,12 +430,17 @@ def _build_manifest(ds: Dataset) -> dict:
     return manifest
 
 
-def _bag_line(bag: Bag) -> str:
-    """One JSONL record, the bytes `json.dumps(record, sort_keys=True,
-    separators=(",", ":"))` gives for int lists and a finite label,
-    formatted directly."""
-    return (f'{{"classes":[{",".join(map(str, bag.classes))}],'
-            f'"img_idx":[{",".join(map(str, bag.img_idx))}],"label":{bag.label}}}')
+def _split_lines(split: Split) -> str:
+    """The split as JSONL, each line the bytes `json.dumps(record,
+    sort_keys=True, separators=(",", ":"))` gives, from one template per size."""
+    lines = [None] * len(split)
+    for n, (rows, classes, img_idx, labels) in split.groups.items():
+        ids = ",".join(["%d"] * n)
+        template = f'{{"classes":[{ids}],"img_idx":[{ids}],"label":%d}}\n'
+        values = np.concatenate([classes, img_idx, labels[:, None]], axis=1).tolist()
+        for i, line in zip(rows.tolist(), map(template.__mod__, map(tuple, values))):
+            lines[i] = line
+    return "".join(lines)
 
 
 def save_dataset(ds: Dataset, out_dir) -> dict:
@@ -416,7 +454,7 @@ def save_dataset(ds: Dataset, out_dir) -> dict:
     manifest["checksums"] = {}
     payloads = {}
     for split in SPLITS:
-        payload = "".join(_bag_line(bag) + "\n" for bag in ds.splits[split]).encode()
+        payload = _split_lines(ds.splits[split]).encode()
         manifest["checksums"][split] = hashlib.sha256(payload).hexdigest()
         payloads[os.path.join(out_dir, f"{split}.jsonl")] = payload
     payloads[os.path.join(out_dir, "manifest.json")] = fileio.json_bytes(manifest)
@@ -460,7 +498,8 @@ def _overlapping(windows: dict, wanted) -> set:
 
 def load_dataset(path, pools: dict = None, splits=SPLITS) -> Dataset:
     """Load a saved dataset, verifying versions, the manifest's fields, and
-    the checksum and records of each split in `splits`.
+    the checksum and records of each split in `splits`, its labels
+    against the oracle included.
 
     Only the named splits' files are read and, in image mode, only their
     pools are built. A split whose pool window shares rows of an images file
@@ -490,90 +529,77 @@ def load_dataset(path, pools: dict = None, splits=SPLITS) -> Dataset:
 
     loaded = {}
     for split in (s for s in SPLITS if s in read):
-        file_path = os.path.join(path, f"{split}.jsonl")
-        with open(file_path, "rb") as f:
+        with open(os.path.join(path, f"{split}.jsonl"), "rb") as f:
             payload = f.read()
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != manifest["checksums"][split]:
+        if hashlib.sha256(payload).hexdigest() != manifest["checksums"][split]:
             raise ValueError(f"checksum failure for {split}.jsonl")
-        bags = []
         lines = payload.decode().splitlines()
+        classes, img_idx, labels = [], [], []
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                bags.append(Bag(record["classes"], record["label"], record["img_idx"]))
+                classes.append(record["classes"])
+                img_idx.append(record["img_idx"])
+                labels.append(record["label"])
+                if len(img_idx[-1]) != len(classes[-1]):
+                    raise ValueError("img_idx length differs from classes length")
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{split}.jsonl line {lineno}: {exc}") from exc
-        _check_records(split, bags, lines, spec, task, pools[split] if pools else None)
-        loaded[split] = bags
+        loaded[split] = _check_records(split, lines, (classes, img_idx, labels), spec, task,
+                                       pools[split] if pools else None)
 
     ds = Dataset(spec, task, loaded, pools=pools, manifest=manifest)
     check_split_purity(ds)
     return ds
 
 
-def _within(lists: list, allowed: range) -> bool:
-    """Whether every value in `lists` is an int in `allowed`, checked on the
-    set of distinct values."""
-    try:
-        values = set().union(*lists)
-    except TypeError:  # an unhashable value, such as a nested list
-        return False
-    return not values or (set(map(type, values)) <= {int}
-                          and allowed.start <= min(values) and max(values) < allowed.stop)
-
-
-def _record_fault(bag: Bag, sizes: tuple, class_ids: range, rows: range) -> str:
+def _record_fault(classes, img_idx, label, sizes: tuple, class_ids: range, rows: range,
+                  task: oracle.TaskSpec) -> str:
     """Why a loaded bag is not a record of its dataset, or "" when it is."""
-    if bag.size not in sizes:
-        return f"set size {bag.size} is not one of {sizes}"
-    if not all(c in class_ids for c in bag.classes):
-        return f"classes {bag.classes!r} hold an id outside {class_ids}"
-    if not all(i in rows for i in bag.img_idx):
-        return f"img_idx {bag.img_idx!r} hold an index outside {rows}"
-    y = bag.label
-    if not (isinstance(y, (int, float)) and -_EXACT_LABEL_MAX <= y <= _EXACT_LABEL_MAX
-            and y % 1 == 0):
-        return f"label {y!r} is not an integer within +-2^53"
-    return ""
+    if len(classes) not in sizes:
+        return f"set size {len(classes)} is not one of {sizes}"
+    if not all(type(c) is int and c in class_ids for c in classes):
+        return f"classes {classes!r} hold an id outside {class_ids}"
+    if not all(type(i) is int and i in rows for i in img_idx):
+        return f"img_idx {img_idx!r} hold an index outside {rows}"
+    if not (type(label) is int and -_EXACT_LABEL_MAX <= label <= _EXACT_LABEL_MAX):
+        return f"label {label!r} is not an integer within +-2^53"
+    expected = int(_oracle_labels(task, np.array([classes]))[0])
+    return f"stored label {label} != oracle {expected}" if label != expected else ""
 
 
-def _check_records(split: str, bags: list, lines: list, spec: DatasetSpec,
-                   task: oracle.TaskSpec, pool: ImagePool):
-    """Reject a loaded split whose records parse but are not bags of this
-    dataset: a bag count other than the manifest's, a set size the spec
-    does not list, class ids outside the task's range, image indices other
-    than -1 (symbolic) or a row of the split's pool (image mode), or a label
-    that is not an integer of magnitude at most 2^53. A split passes on
-    whole-split summaries: its set of sizes, the types, min and max of its
-    distinct class ids and image indices, and those of its labels. Only a
-    split that fails them is scanned bag by bag, so the error names its
-    first bad line."""
+def _check_records(split: str, lines: list, records: tuple, spec: DatasetSpec,
+                   task: oracle.TaskSpec, pool: ImagePool) -> Split:
+    """The `Split` of a file's parsed (classes, img_idx, labels) lists, or
+    ValueError unless they are the manifest's count of this dataset's bags:
+    listed set sizes, int values, class ids in the task's range, image
+    indices -1 (symbolic) or rows of the split's pool, the oracle's labels.
+    Each size group's arrays are checked; a split that fails is scanned bag
+    by bag, so the error names its first bad line."""
     count = spec.counts[SPLITS.index(split)]
-    if len(bags) != count:
-        raise ValueError(f"{split}.jsonl holds {len(bags)} bags, the manifest says {count}")
-    classes = [b.classes for b in bags]
-    img_idx = [b.img_idx for b in bags]
-    labels = [b.label for b in bags]
+    if len(records[0]) != count:
+        raise ValueError(f"{split}.jsonl holds {len(records[0])} bags, the manifest says {count}")
     class_ids = range(task.class_range[0], task.class_range[1] + 1)
-    if pool is None:  # every symbolic img_idx is all -1; counting those lists is cheapest
-        rows = range(-1, 0)
-        images_ok = sum(map(img_idx.count, ([-1] * n for n in spec.sizes()))) == len(bags)
-    else:
-        rows = range(len(pool.labels))
-        images_ok = _within(img_idx, rows)
-    if (images_ok and set(map(len, classes)) <= set(spec.sizes())
-            and _within(classes, class_ids) and set(map(type, labels)) <= {int}
-            and (not labels or -_EXACT_LABEL_MAX <= min(labels)
-                 and max(labels) <= _EXACT_LABEL_MAX)):
-        return
-    for i, bag in enumerate(bags):
-        fault = _record_fault(bag, spec.sizes(), class_ids, rows)
+    rows = range(len(pool.labels)) if pool is not None else range(-1, 0)
+    try:
+        parsed = Split(_grouped(*records))
+        if all(n in spec.sizes()
+               and class_ids.start <= classes.min() and classes.max() < class_ids.stop
+               and rows.start <= img_idx.min() and img_idx.max() < rows.stop
+               and -_EXACT_LABEL_MAX <= labels.min() and labels.max() <= _EXACT_LABEL_MAX
+               for n, (_, classes, img_idx, labels) in parsed.groups.items()) \
+                and validate_labels(task, parsed):
+            return parsed
+    except ValueError:  # a value that is not an int
+        pass
+    for i, bag in enumerate(zip(*records)):
+        fault = _record_fault(*bag, spec.sizes(), class_ids, rows, task)
         if fault:
             lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][i]
             raise ValueError(f"{split}.jsonl line {lineno}: {fault}")
+    raise ValueError(f"{split}.jsonl holds values that are not ints")
 
 
 def data_root() -> str:
@@ -590,19 +616,9 @@ def resolve_path(path) -> str:
 
 # -- batch assembly --------------------------------------------------------
 
-def group_by_size(bags) -> dict:
-    """Indices of bags grouped by bag size, each with classes/img_idx arrays."""
-    groups = {}
-    for i, bag in enumerate(bags):
-        groups.setdefault(bag.size, []).append(i)
-    out = {}
-    for n, idxs in sorted(groups.items()):
-        idx_arr = np.array(idxs, dtype=np.int64)
-        classes = np.array([bags[i].classes for i in idxs], dtype=np.int64)
-        img_idx = np.array([bags[i].img_idx for i in idxs], dtype=np.int64)
-        labels = np.array([bags[i].label for i in idxs], dtype=np.float64)
-        out[n] = (idx_arr, classes, img_idx, labels)
-    return out
+def group_by_size(split: Split) -> dict:
+    """The split's size groups: {n: (rows, classes, img_idx, labels)}."""
+    return split.groups
 
 
 def permute_instances(rng, classes: np.ndarray, img_idx: np.ndarray, noise: np.ndarray = None):
@@ -627,9 +643,8 @@ def position_features(classes: np.ndarray, img_idx: np.ndarray, mode: str,
     Returns n arrays of shape [B, feature_dim], one per instance position.
     `noise` (symbolic mode only) is a [B, n, 10] additive perturbation.
     """
-    b, n = classes.shape
     feats = []
-    for pos in range(n):
+    for pos in range(classes.shape[1]):
         if mode == "symbolic":
             x = _EYE[classes[:, pos]].copy()
             if noise is not None:
@@ -644,9 +659,6 @@ def split_noise(ds: Dataset, split: str) -> np.ndarray:
     """Deterministic per-instance feature noise for a whole split (or None)."""
     if ds.spec.noise <= 0.0:
         return None
-    bags = ds.splits[split]
-    sizes = ds.spec.sizes()
     rng = np.random.default_rng(np.random.SeedSequence((ds.spec.seed, SPLITS.index(split), 991)))
-    max_n = max(sizes)
     return rng.uniform(-ds.spec.noise, ds.spec.noise,
-                       size=(len(bags), max_n, oracle.NUM_CLASSES))
+                       size=(len(ds.splits[split]), max(ds.spec.sizes()), oracle.NUM_CLASSES))

@@ -40,7 +40,7 @@ def split_inputs(params, ds: data.Dataset, split: str) -> tuple:
     groups = data.group_by_size(bags)
     if ds.spec.mode != "image":
         return groups, None
-    used = np.unique(np.concatenate([img_idx.ravel() for _, _, img_idx, _ in groups.values()]))
+    used = bags.images()
     table = models.embed(params, ds.pools[split].images[used]).data
     groups = {n: (idx, classes, np.searchsorted(used, img_idx), labels)
               for n, (idx, classes, img_idx, labels) in groups.items()}
@@ -119,8 +119,8 @@ def split_predictions(params, ds: data.Dataset, split: str) -> np.ndarray:
 
 def predict_mean_baseline(ds: data.Dataset, split: str) -> float:
     """MSE of always predicting the train-split label mean."""
-    mean = float(np.mean([b.label for b in ds.splits["train"]]))
-    labels = np.array([b.label for b in ds.splits[split]], dtype=np.float64)
+    mean = float(np.mean(ds.splits["train"].labels().astype(np.float64)))
+    labels = ds.splits[split].labels().astype(np.float64)
     return float(np.mean((mean - labels) ** 2))
 
 
@@ -155,7 +155,9 @@ def _step_report(params, ds: data.Dataset, split: str, kind: str, step_values):
     params = params.detached()
     bags = ds.splits[split]
     entries = [None] * len(bags)
-    sizes = np.fromiter((b.size for b in bags), dtype=np.int64, count=len(bags))
+    sizes = np.empty(len(bags), dtype=np.int64)
+    for n, (rows, *_) in bags.groups.items():
+        sizes[rows] = n
     starts = np.cumsum(sizes) - sizes
     deltas = np.empty(int(sizes.sum()))
     for rows, classes, feats, _ in split_batches(params, ds, split):
@@ -165,8 +167,7 @@ def _step_report(params, ds: data.Dataset, split: str, kind: str, step_values):
         for bag_i, cls, exp, pred in zip(rows.tolist(), classes.tolist(),
                                          expected.tolist(), predicted.tolist()):
             entries[bag_i] = IntermediateEntry(cls, exp, pred)
-    mae = float(np.mean(deltas))
-    return IntermediateReport(entries=entries, mae=mae, kind=kind)
+    return IntermediateReport(entries=entries, mae=float(np.mean(deltas)), kind=kind)
 
 
 def intermediate_mae(params, ds: data.Dataset, split: str) -> IntermediateReport:
@@ -244,5 +245,4 @@ def rounded_accuracy(params, ds: data.Dataset, split: str) -> float:
     equals the integer label."""
     preds = split_predictions(params, ds, split)
     rounded = np.sign(preds) * np.floor(np.abs(preds) + 0.5)
-    labels = np.array([b.label for b in ds.splits[split]], dtype=np.float64)
-    return float(np.mean(rounded == labels))
+    return float(np.mean(rounded == ds.splits[split].labels().astype(np.float64)))

@@ -41,13 +41,13 @@ class RunConfig:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
 
     def to_json(self) -> dict:
-        obj = {
-            "dataset": self.dataset, "model": self.model.to_json(), "lr": self.lr,
+        """The config as JSON, float fields as floats: `lr` 1 and 1.0 hash alike."""
+        return {
+            "dataset": self.dataset, "model": self.model.to_json(), "lr": float(self.lr),
             "batch_size": self.batch_size, "epochs": self.epochs, "seed": self.seed,
-            "reg_lambda": self.reg_lambda, "reg_threshold": self.reg_threshold,
+            "reg_lambda": float(self.reg_lambda), "reg_threshold": float(self.reg_threshold),
             "shuffle_instances_per_epoch": self.shuffle_instances_per_epoch,
         }
-        return obj
 
     @classmethod
     def from_json(cls, obj, where: str = "run config") -> "RunConfig":

@@ -3,11 +3,13 @@ functions by module and name; renaming or deleting one of them breaks it.
 This installs and removes its tracer over the real package, and checks that
 its Tensor count is the size of the training graph and that it times
 evaluation forwards on image datasets and sees one dataset load per
-`capnet eval`."""
+`capnet eval`. The benchmark's checks read splits bag by bag; they run here
+on the per-bag view of a `data.Split`."""
 
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,13 +18,24 @@ from capnet import autodiff as ad
 from capnet import cli, data, evaluate, models, train
 from test_data import image_pools, synth_pool
 
-TRACING = Path(__file__).resolve().parents[1] / "capnet_bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "capnet_bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
     spec = importlib.util.spec_from_file_location("capnet_bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads(monkeypatch):
+    """`capnet_bench/workloads.py`, with `capnet_bench` on sys.path for its
+    bare imports of `idx_pools` and `reference`."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("capnet_bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
@@ -121,3 +134,35 @@ def test_image_eval_makes_one_traced_dataset_load(tmp_path):
     assert len(loads) == 1 and loads[0].parent.name == "cli.eval"
     pools = [s for s in tracer.spans if s.name == "data.build_pool"]
     assert len(pools) == 1 and pools[0].parent is loads[0]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "image"])
+def test_bench_checks_pass_on_generated_and_loaded_splits(tmp_path, monkeypatch, mode):
+    """The benchmark's label, round-trip and audit checks read a split by
+    `len`, iteration, `split[i]` and the `Bag` fields; they pass on a
+    mixed-size dataset, generated and loaded, and catch a changed one."""
+    workloads = load_workloads(monkeypatch)
+    pools = image_pools(tmp_path) if mode == "image" else None
+    spec = data.DatasetSpec(task="WTri", mode=mode, set_size=(2, 3, 5), counts=(30, 20, 20),
+                            seed=3)
+    generated = data.generate_dataset(spec, pools=pools)
+    data.save_dataset(generated, tmp_path / "ds")
+    ds = data.load_dataset(tmp_path / "ds")
+    workloads.check_labels(generated, mode)
+    workloads.check_labels(ds, mode)
+    workloads.check_same_bags(generated, ds, mode)
+    other = data.generate_dataset(replace(spec, seed=4), pools=pools)
+    with pytest.raises(workloads.CheckFailed, match="differs after the round trip"):
+        workloads.check_same_bags(other, ds, mode)
+    labels = workloads.stored_labels(ds.splits["val"])
+    for family, capacity in (("gru", True), ("lstm", False)):
+        params = models.init_model(models.ModelSpec(family, capacity=capacity, embed_dim=4,
+                                                    hidden_dim=4, input_dim=ds.feature_dim()), 0)
+        fwd = workloads.SplitForward(params, ds, "val")
+        assert workloads.close(evaluate.evaluate_mse(params, ds, "val"), fwd.mse(labels))
+        report = (evaluate.intermediate_mae if capacity else evaluate.pseudo_report)(
+            params, ds, "val")
+        workloads.check_audit(fwd, ds, "val", [e.expected for e in report.entries],
+                              [e.predicted for e in report.entries], report.mae,
+                              evaluate.rounded_accuracy(params, ds, "val"),
+                              evaluate.permutation_sensitivity(params, ds, "val", k=2)["mse"])

@@ -87,6 +87,14 @@ def test_generate_rejects_bad_config(tmp_path, capsys):
     assert "Is a directory" in capsys.readouterr().err
 
 
+def test_generate_rejects_noise_whose_draw_range_overflows(tmp_path, capsys):
+    for noise, code in ((1e308, 2), (float("8e307"), 0)):
+        cfg = write_json(tmp_path / "noisy.json", {"task": "US", "set_size": 3,
+                                                   "counts": [20, 5, 5], "noise": noise})
+        assert cli.main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert "noise must be >= 0 with 2 * noise finite, got 1e+308" in capsys.readouterr().err
+
+
 def image_config(tmp_path, windows, pool_dir="images"):
     """Dataset config over one 60-image IDX pair; windows maps split -> (offset, count)."""
     root = tmp_path / pool_dir
@@ -233,6 +241,19 @@ def test_malformed_records_name_their_line_and_exit_2(tmp_path, capsys, line, wh
     assert cli.main(["train", "--config", train_config(tmp_path, ds),
                      "--out", str(tmp_path / "o")]) == 2
     assert "val.jsonl line 3" in capsys.readouterr().err
+
+
+def test_edited_label_with_a_fixed_checksum_exits_2(tmp_path, capsys):
+    ds = dataset_dir(tmp_path, counts=(20, 5, 5))
+    with open(os.path.join(ds, "train.jsonl")) as f:
+        record = json.loads(f.read().splitlines()[3])
+    record["label"] += 1
+    rewrite_line(ds, "train", 4, json.dumps(record))
+    assert cli.main(["train", "--config", train_config(tmp_path, ds, batch_size=10),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert re.search(r"train.jsonl line 4: stored label \d+ != oracle \d+",
+                     capsys.readouterr().err)
+    assert not os.path.exists(tmp_path / "o" / "metrics.csv")
 
 
 def test_split_with_missing_bags_exits_2(tmp_path, capsys):
@@ -767,8 +788,10 @@ def test_sweep_config_validation(tmp_path, capsys):
     cfg = write_json(tmp_path / "s.json", {"dataset": ds, "seeds": [0]})
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "families" in capsys.readouterr().err
-    cfg2 = sweep_config(tmp_path, ds, train_sizes=[999])
-    assert cli.main(["sweep", "--config", cfg2, "--out", str(tmp_path / "o")]) == 2
+    for size in (999, 0, -5):
+        cfg2 = sweep_config(tmp_path, ds, train_sizes=[size])
+        assert cli.main(["sweep", "--config", cfg2, "--out", str(tmp_path / "o")]) == 2
+        assert f"train size {size} is outside 1..200" in capsys.readouterr().err
     cfg3 = sweep_config(tmp_path, ds, families=["warp-drive"])
     assert cli.main(["sweep", "--config", cfg3, "--out", str(tmp_path / "o")]) == 2
     cfg4 = write_json(tmp_path / "list.json", [{"dataset": ds}])

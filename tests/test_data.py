@@ -212,6 +212,10 @@ def test_mult_set_size_limited_to_exact_float_labels():
         data.DatasetSpec(task="Mult", set_size=(3, 17))
 
 
+def labels_check_out(ds) -> bool:
+    return all(data.validate_labels(ds.task, split) for split in ds.splits.values())
+
+
 def test_generation_is_deterministic_and_labels_check_out():
     spec = data.DatasetSpec(task="WTri", set_size=4, counts=(300, 50, 50), seed=5)
     a = data.generate_dataset(spec)
@@ -219,7 +223,7 @@ def test_generation_is_deterministic_and_labels_check_out():
     for split in data.SPLITS:
         assert [x.classes for x in a.splits[split]] == [x.classes for x in b.splits[split]]
         assert [x.label for x in a.splits[split]] == [x.label for x in b.splits[split]]
-    data.validate_labels(a)
+    assert labels_check_out(a)
 
     c = data.generate_dataset(data.DatasetSpec(task="WTri", set_size=4,
                                                counts=(300, 50, 50), seed=6))
@@ -233,7 +237,7 @@ def test_generation_shards_do_not_depend_on_total_count():
     large = data.generate_dataset(data.DatasetSpec(task="US", set_size=3,
                                                    counts=(1500, 10, 10), seed=2))
     assert [x.classes for x in small.splits["train"]] == \
-        [x.classes for x in large.splits["train"][:100]]
+        [x.classes for x in large.splits["train"].head(100)]
 
 
 def test_product_task_never_samples_class_zero():
@@ -242,28 +246,58 @@ def test_product_task_never_samples_class_zero():
     for bags in ds.splits.values():
         for bag in bags:
             assert all(c >= 1 for c in bag.classes)
-    data.validate_labels(ds)
+    assert labels_check_out(ds)
 
 
-def test_validate_labels_names_the_first_bad_bag():
+def rewrite_split(path, split: str, edits: dict):
+    """Replace lines (1-based) of a saved split file and its checksum."""
+    lines = (path / f"{split}.jsonl").read_text().splitlines()
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    payload = ("\n".join(lines) + "\n").encode()
+    (path / f"{split}.jsonl").write_bytes(payload)
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["checksums"][split] = hashlib.sha256(payload).hexdigest()
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_load_names_the_first_bag_whose_label_is_not_the_oracles(tmp_path):
     ds = data.generate_dataset(data.DatasetSpec(task="WTri", set_size=(2, 5),
                                                 counts=(40, 30, 30), seed=4))
-    data.validate_labels(ds)
-    val = ds.splits["val"]
+    data.save_dataset(ds, tmp_path)
+    val = list(ds.splits["val"])
     first = next(i for i, b in enumerate(val) if b.size == 5)
     later = next(i for i, b in enumerate(val) if i > first and b.size == 2)
     truth = oracle.eval_task(ds.task, val[first].classes)
+
+    def record(bag, **fields):
+        return json.dumps({**bag._asdict(), **fields}, separators=(",", ":"))
     # the size-2 group is checked first, but the error names the earlier bag
-    val[later].label += 1
-    val[first].label = truth + 2
-    with pytest.raises(ValueError, match=f"val bag {first}: stored label {truth + 2} != oracle {truth}$"):
-        data.validate_labels(ds)
-    val[first].label = truth + 0.5  # a non-integer label is wrong too
-    with pytest.raises(ValueError, match=f"val bag {first}: stored label"):
-        data.validate_labels(ds)
-    val[first].classes[0] = 10
-    with pytest.raises(ValueError, match="outside"):
-        data.validate_labels(ds)
+    rewrite_split(tmp_path, "val", {later + 1: record(val[later], label=val[later].label + 1),
+                                    first + 1: record(val[first], label=truth + 2)})
+    with pytest.raises(ValueError, match=f"^val.jsonl line {first + 1}: "
+                                         f"stored label {truth + 2} != oracle {truth}$"):
+        data.load_dataset(tmp_path)
+    # a non-integer label is wrong too, and so is an integral float
+    for label in (truth + 0.5, float(truth)):
+        rewrite_split(tmp_path, "val", {first + 1: record(val[first], label=label)})
+        with pytest.raises(ValueError, match=f"^val.jsonl line {first + 1}: label {label} "
+                                             "is not an integer"):
+            data.load_dataset(tmp_path)
+    rewrite_split(tmp_path, "val", {first + 1: record(val[first], classes=[10] * 5)})
+    with pytest.raises(ValueError, match=f"^val.jsonl line {first + 1}: .*outside"):
+        data.load_dataset(tmp_path)
+
+
+def test_validate_labels_checks_every_size_group():
+    ds = data.generate_dataset(data.DatasetSpec(task="WTri", set_size=(2, 5),
+                                                counts=(40, 30, 30), seed=4))
+    assert labels_check_out(ds)
+    for n in (2, 5):
+        groups = dict(ds.splits["val"].groups)
+        rows, classes, img_idx, labels = groups[n]
+        groups[n] = (rows, classes, img_idx, labels + (np.arange(len(rows)) == len(rows) - 1))
+        assert not data.validate_labels(ds.task, data.Split(groups))
 
 
 def test_pair_task_records_pairs_in_manifest():
@@ -271,7 +305,7 @@ def test_pair_task_records_pairs_in_manifest():
     ds = data.generate_dataset(spec)
     assert len(ds.task.pair_set) == 5
     assert ds.manifest["pair_set"] == [list(p) for p in ds.task.pair_set]
-    data.validate_labels(ds)
+    assert labels_check_out(ds)
 
 
 def test_mixed_set_sizes():
@@ -279,7 +313,7 @@ def test_mixed_set_sizes():
                                                 counts=(400, 40, 40), seed=3))
     sizes = {b.size for b in ds.splits["train"]}
     assert sizes == {2, 5}
-    data.validate_labels(ds)
+    assert labels_check_out(ds)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -360,20 +394,20 @@ def test_generation_labels_without_the_per_bag_oracle(tmp_path, monkeypatch):
         assert all(type(b.label) is int for bags in ds.splits.values() for b in bags)
 
 
-_JSON_INTS = st.one_of(st.integers(-10, 10), st.integers(-2**70, 2**70))
+_INT64 = st.one_of(st.integers(-10, 10), st.integers(-2**63, 2**63 - 1))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_JSON_INTS, max_size=6).flatmap(
-           lambda classes: st.tuples(st.just(classes),
-                                     st.lists(_JSON_INTS, min_size=len(classes),
-                                              max_size=len(classes)))),
-       st.one_of(_JSON_INTS, st.floats(allow_nan=False, allow_infinity=False)))
-def test_bag_line_matches_sorted_json_dumps(lists, label):
-    classes, img_idx = lists
-    record = {"classes": classes, "img_idx": img_idx, "label": label}
-    assert data._bag_line(data.Bag(classes, label, img_idx)) == \
-        json.dumps(record, sort_keys=True, separators=(",", ":"))
+@given(st.lists(st.tuples(st.integers(1, 5), st.lists(_INT64, min_size=10, max_size=10), _INT64),
+                max_size=6))
+def test_split_lines_match_sorted_json_dumps(bags):
+    """Each line is what `json.dumps` gives for the bag's record, in stored
+    order, for bags of several sizes holding any int64 values."""
+    records = [{"classes": v[:n], "img_idx": v[n:2 * n], "label": y} for n, v, y in bags]
+    columns = [[r[k] for r in records] for k in ("classes", "img_idx", "label")]
+    split = data.Split(data._grouped(*columns))
+    assert data._split_lines(split) == "".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
 
 
 def test_failed_save_keeps_previous_dataset(tmp_path, monkeypatch):
@@ -486,8 +520,10 @@ def test_split_purity_agrees_with_per_image_loop():
     rng = np.random.default_rng(0)
     for _ in range(40):
         pools = {s: synth_pool(s, count=20, offset=int(rng.integers(0, 40))) for s in data.SPLITS}
-        splits = {s: [data.Bag([0, 0, 0], 0, [int(i) for i in rng.integers(-1, 20, size=3)])
-                      for _ in range(2)] for s in data.SPLITS}
+        splits = {s: data.Split({3: (np.arange(2), np.zeros((2, 3), dtype=np.int64),
+                                     rng.integers(-1, 20, size=(2, 3)),
+                                     np.zeros(2, dtype=np.int64))})
+                  for s in data.SPLITS}
         ds = data.Dataset(spec, oracle.TaskSpec("US"), splits, pools=pools)
         used = {s: {pools[s].offset + i for b in bags for i in b.img_idx if i >= 0}
                 for s, bags in splits.items()}
@@ -650,9 +686,11 @@ def test_concurrent_first_reads_scale_a_pool_once(tmp_path, monkeypatch):
 
 
 def test_group_by_size_and_position_features():
-    bags = [data.Bag([1, 2], 3.0), data.Bag([4], 4.0), data.Bag([2, 2], 4.0)]
-    groups = data.group_by_size(bags)
-    assert sorted(groups) == [1, 2]
+    split = data.Split({2: (np.array([0, 2]), np.array([[1, 2], [2, 2]]), np.full((2, 2), -1),
+                            np.array([3, 4])),
+                        1: (np.array([1]), np.array([[4]]), np.array([[-1]]), np.array([4]))})
+    groups = data.group_by_size(split)
+    assert list(groups) == [1, 2]
     idx, classes, img_idx, labels = groups[2]
     assert idx.tolist() == [0, 2]
     assert classes.tolist() == [[1, 2], [2, 2]]
@@ -660,6 +698,26 @@ def test_group_by_size_and_position_features():
     assert len(feats) == 2
     assert feats[0].tolist() == [[0, 1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]]
     assert feats[1].tolist() == [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]]
+
+
+def test_split_per_bag_view_reads_bags_in_stored_order():
+    split = data.Split({3: (np.array([1, 3]), np.array([[1, 2, 3], [4, 5, 6]]),
+                            np.array([[7, 8, 9], [0, 1, 2]]), np.array([6, 15])),
+                        1: (np.array([0, 2, 4]), np.array([[0], [9], [5]]),
+                            np.array([[-1], [-1], [3]]), np.array([0, 9, 5]))})
+    bags = [([0], 0, [-1]), ([1, 2, 3], 6, [7, 8, 9]), ([9], 9, [-1]), ([4, 5, 6], 15, [0, 1, 2]),
+            ([5], 5, [3])]
+    assert len(split) == 5
+    assert [tuple(b) for b in split] == bags
+    assert [tuple(split[i]) for i in range(5)] == bags
+    assert all(type(b.label) is int for b in split)
+    assert [b.size for b in split] == [1, 3, 1, 3, 1]
+    with pytest.raises(IndexError):
+        split[5]
+    assert [tuple(b) for b in split.head(4)] == bags[:4]
+    assert list(split.head(1).groups) == [1] and len(split.head(0)) == 0
+    assert split.labels().tolist() == [0, 6, 9, 15, 5]
+    assert split.images().tolist() == [-1, 0, 1, 2, 3, 7, 8, 9]
 
 
 def test_position_features_symbolic_image_and_noise():

@@ -128,7 +128,7 @@ def test_evaluation_deterministic_with_feature_noise():
 def test_empty_split_rejected():
     ds = data.generate_dataset(
         data.DatasetSpec(task="US", set_size=3, counts=(20, 5, 5), seed=7))
-    ds.splits["val"] = []
+    ds.splits["val"] = data.Split({})
     with pytest.raises(ValueError, match="empty"):
         evaluate.evaluate_mse(small("deepset"), ds, "val")
 
@@ -414,7 +414,7 @@ def test_audit_scores_whole_batches_without_the_per_bag_oracle(mixed_ds, monkeyp
 def test_pseudo_rejections(us_ds):
     with pytest.raises(ValueError, match="capacity"):
         evaluate.pseudo_report(small("gru", capacity=True), us_ds, "val")
-    empty = data.Dataset(us_ds.spec, us_ds.task, dict(us_ds.splits, val=[]))
+    empty = data.Dataset(us_ds.spec, us_ds.task, dict(us_ds.splits, val=data.Split({})))
     with pytest.raises(ValueError, match="empty"):
         evaluate.pseudo_report(small("gru"), empty, "val")
 

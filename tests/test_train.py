@@ -76,12 +76,13 @@ def test_history_rows_are_ordered_and_finite():
 
 
 def test_constant_labels_are_fit_within_five_epochs():
-    bags = {
-        split: [data.Bag([2, 5, 7], 3.0) for _ in range(count)]
+    splits = {
+        split: data.Split({3: (np.arange(count), np.tile([2, 5, 7], (count, 1)),
+                               np.full((count, 3), -1), np.full(count, 3))})
         for split, count in (("train", 2000), ("val", 40), ("test", 40))
     }
     spec = data.DatasetSpec(task="UC", set_size=3, counts=(2000, 40, 40), seed=0)
-    ds = data.Dataset(spec, __import__("capnet").oracle.TaskSpec("UC"), bags)
+    ds = data.Dataset(spec, __import__("capnet").oracle.TaskSpec("UC"), splits)
     res = train.train_run(tiny_config(epochs=5, batch_size=20), dataset=ds)
     assert res.final_val_mse < 0.1
 
@@ -91,7 +92,7 @@ def test_strong_regularization_caps_intermediates():
     cfg = tiny_config(family="gru", capacity=True, epochs=12, batch_size=100,
                       reg_lambda=100.0, reg_threshold=1.0)
     res = train.train_run(cfg, dataset=ds)
-    bags = ds.splits["val"][:100]
+    bags = list(ds.splits["val"].head(100))
     feats = data.position_features(np.array([b.classes for b in bags]),
                                    np.array([b.img_idx for b in bags]), "symbolic")
     out = models.batch_forward(res.params, feats)
@@ -100,9 +101,8 @@ def test_strong_regularization_caps_intermediates():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergent_run_aborts_with_batch_id():
-    ds = tiny_dataset(counts=(200, 40, 40))
-    # a label beyond float range overflows the squared error to inf
-    ds.splits["train"][7].label = 1e200
+    # features near float range overflow the squared error to inf
+    ds = tiny_dataset(counts=(200, 40, 40), noise=1e200)
     cfg = tiny_config(epochs=3, batch_size=50)
     with pytest.raises(train.TrainingDiverged, match=r"epoch \d+ batch \d+"):
         train.train_run(cfg, dataset=ds)
@@ -122,6 +122,15 @@ def test_config_validation_and_json_round_trip():
     with pytest.raises(ValueError):
         tiny_config(reg_lambda=-1.0)
     assert tiny_config(seed=1).config_hash() != cfg.config_hash()
+
+
+def test_config_hash_does_not_depend_on_int_or_float_spelling():
+    obj = tiny_config().to_json()
+    hashes = {train.RunConfig.from_json({**obj, "lr": lr, "reg_lambda": lam,
+                                         "reg_threshold": tau}).config_hash()
+              for lr, lam, tau in ((1, 0, 2), (1.0, 0.0, 2.0), (1, 0.0, 2.0))}
+    assert len(hashes) == 1
+    assert train.RunConfig.from_json({**obj, "lr": 1}).to_json()["lr"] == 1.0
 
 
 def test_instance_shuffling_flag_changes_batches_only_when_sizes_allow():
@@ -150,7 +159,9 @@ def test_epoch_batches_are_pinned():
     digest = hashlib.sha256()
     for batch in train._epoch_batches(data.group_by_size(ds.splits["train"]),
                                       data.split_noise(ds, "train"), cfg, 2):
-        for arr in batch:
+        classes, img_idx, labels, noise = batch
+        # labels are hashed as the float64 values they were when this was pinned
+        for arr in (classes, img_idx, labels.astype(np.float64), noise):
             digest.update(np.ascontiguousarray(arr).tobytes())
     assert digest.hexdigest() == \
         "43ca288590c3f10eb3218c112d3c97adac2c11fc42e040ed48535180489384d3"
