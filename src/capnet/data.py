@@ -5,7 +5,7 @@ everything needed to regenerate or re-validate it: task, pair set, seed,
 per-split checksums. In memory a split is a `Split` of per-size int64
 arrays; on disk it is JSON Lines, one bag per line:
 
-    {"classes": [8, 5, 8], "img_idx": [-1, -1, -1], "label": 13}
+    {"classes":[8,5,8],"img_idx":[-1,-1,-1],"label":13}
 
 Features are not stored; they are derived from the classes (symbolic
 one-hots) or fetched from an image pool (image mode) at batch time.
@@ -14,19 +14,21 @@ Generation runs in shards of 1024 bags, each with its own seeded stream.
 A symbolic shard of one set size draws its classes in one [shard, n] call;
 mixed set sizes and image mode draw bag by bag. Labels come from
 `oracle.decompose_batch`, summed over positions, in chunks of 1024 rows.
-Loading checks versions and checksums, then each split's records as
-arrays, every label against the oracle included. A caller names the
-splits it uses, and only those are read.
+Loading checks versions and checksums and reads only the splits its caller
+names. A file in the layout saving writes parses straight into arrays, any
+other line by line; every record is checked, its label against the oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import struct
 import threading
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +47,7 @@ IDX_MAGIC_LABELS = 0x00000801
 _MAX_IDX_ELEMENTS = 1 << 34
 # labels are carried as float64 training targets; integers above this lose precision
 _EXACT_LABEL_MAX = 1 << 53
+_INT_BYTES = bytes(b if chr(b) in "-0123456789" else 32 for b in range(256))  # others: spaces
 
 
 # -- IDX files -------------------------------------------------------------
@@ -335,12 +338,13 @@ def generate_dataset(spec: DatasetSpec, pools: dict = None) -> Dataset:
             rng = np.random.default_rng(np.random.SeedSequence(
                 (spec.seed, split_idx, shard_start // _GENERATION_SHARD)))
             if one_draw:
-                classes += rng.integers(low, high + 1, size=(shard_len, sizes[0])).tolist()
-                img_idx += [[-1] * sizes[0]] * shard_len
+                classes.append(rng.integers(low, high + 1, size=(shard_len, sizes[0])))
             else:
                 _draw_bags(rng, shard_len, sizes, low, high, pool, split, classes, img_idx)
+        groups = _grouped(classes, img_idx) if not one_draw else {sizes[0]: (
+            np.arange(count), np.concatenate(classes), np.full((count, sizes[0]), -1))}
         splits[split] = Split({n: (*group, _oracle_labels(task, group[1]))
-                               for n, group in _grouped(classes, img_idx).items()})
+                               for n, group in groups.items()})
 
     ds = Dataset(spec, task, splits, pools=pools)
     check_split_purity(ds)
@@ -499,7 +503,8 @@ def _overlapping(windows: dict, wanted) -> set:
 def load_dataset(path, pools: dict = None, splits=SPLITS) -> Dataset:
     """Load a saved dataset, verifying versions, the manifest's fields, and
     the checksum and records of each split in `splits`, its labels
-    against the oracle included.
+    against the oracle included. A file in exactly the layout `save_dataset`
+    writes is parsed straight into arrays, any other line by line.
 
     Only the named splits' files are read and, in image mode, only their
     pools are built. A split whose pool window shares rows of an images file
@@ -527,32 +532,58 @@ def load_dataset(path, pools: dict = None, splits=SPLITS) -> Dataset:
         read |= _overlapping({s: (p.source, p.offset, len(p.labels))
                               for s, p in pools.items()}, splits)
 
+    class_ids = range(task.class_range[0], task.class_range[1] + 1)
     loaded = {}
     for split in (s for s in SPLITS if s in read):
         with open(os.path.join(path, f"{split}.jsonl"), "rb") as f:
             payload = f.read()
         if hashlib.sha256(payload).hexdigest() != manifest["checksums"][split]:
             raise ValueError(f"checksum failure for {split}.jsonl")
-        lines = payload.decode().splitlines()
-        classes, img_idx, labels = [], [], []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                classes.append(record["classes"])
-                img_idx.append(record["img_idx"])
-                labels.append(record["label"])
-                if len(img_idx[-1]) != len(classes[-1]):
-                    raise ValueError("img_idx length differs from classes length")
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{split}.jsonl line {lineno}: {exc}") from exc
-        loaded[split] = _check_records(split, lines, (classes, img_idx, labels), spec, task,
-                                       pools[split] if pools else None)
+        rows = range(len(pools[split].labels)) if pools else range(-1, 0)
+        bounds = (spec.counts[SPLITS.index(split)], spec.sizes(), class_ids, rows, task)
+        parsed = _read_canonical(payload)
+        if parsed is None or not _records_fit(parsed, *bounds):
+            parsed = _check_records(split, payload, *bounds)
+        loaded[split] = parsed
 
     ds = Dataset(spec, task, loaded, pools=pools, manifest=manifest)
     check_split_purity(ds)
     return ds
+
+
+def _read_canonical(payload: bytes):
+    """The `Split` of a file in exactly the layout `_split_lines` writes, or
+    None. A line of n instances holds 2n commas and 2n + 1 ints, parsed in one
+    numpy call; the result stands only if it writes back as `payload`."""
+    buf = np.frombuffer(payload, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    sizes = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0) // 2
+    starts = np.concatenate([[0], np.cumsum(2 * sizes + 1)])
+    with warnings.catch_warnings():  # older numpy warns on a partial parse, newer raises
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            values = np.fromstring(payload.translate(_INT_BYTES), dtype=np.int64, sep=" ")
+        except ValueError:
+            return None
+    if len(values) != starts[-1]:
+        return None
+    groups = {}
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == n)
+        at = starts[rows, None] + np.arange(n)
+        groups[n] = (rows, values[at], values[at + n], values[starts[rows] + 2 * n])
+    return parsed if _split_lines(parsed := Split(groups)).encode() == payload else None
+
+
+def _records_fit(parsed: Split, count: int, sizes: tuple, class_ids: range, rows: range,
+                 task: oracle.TaskSpec) -> bool:
+    """Whether `parsed` is `count` bags that `_record_fault` passes, checked as arrays."""
+    return len(parsed) == count and all(
+        n in sizes and class_ids.start <= classes.min() and classes.max() < class_ids.stop
+        and rows.start <= img_idx.min() and img_idx.max() < rows.stop
+        and -_EXACT_LABEL_MAX <= labels.min() and labels.max() <= _EXACT_LABEL_MAX
+        for n, (_, classes, img_idx, labels) in parsed.groups.items()) \
+        and validate_labels(task, parsed)
 
 
 def _record_fault(classes, img_idx, label, sizes: tuple, class_ids: range, rows: range,
@@ -570,32 +601,37 @@ def _record_fault(classes, img_idx, label, sizes: tuple, class_ids: range, rows:
     return f"stored label {label} != oracle {expected}" if label != expected else ""
 
 
-def _check_records(split: str, lines: list, records: tuple, spec: DatasetSpec,
-                   task: oracle.TaskSpec, pool: ImagePool) -> Split:
-    """The `Split` of a file's parsed (classes, img_idx, labels) lists, or
-    ValueError unless they are the manifest's count of this dataset's bags:
-    listed set sizes, int values, class ids in the task's range, image
-    indices -1 (symbolic) or rows of the split's pool, the oracle's labels.
-    Each size group's arrays are checked; a split that fails is scanned bag
-    by bag, so the error names its first bad line."""
-    count = spec.counts[SPLITS.index(split)]
-    if len(records[0]) != count:
-        raise ValueError(f"{split}.jsonl holds {len(records[0])} bags, the manifest says {count}")
-    class_ids = range(task.class_range[0], task.class_range[1] + 1)
-    rows = range(len(pool.labels)) if pool is not None else range(-1, 0)
+def _check_records(split: str, payload: bytes, count: int, sizes: tuple, class_ids: range,
+                   rows: range, task: oracle.TaskSpec) -> Split:
+    """The `Split` of a split file read line by line with `json.loads`, or
+    ValueError naming its first line that is not UTF-8, not a record, or a
+    bag `_record_fault` refuses; only a file `_records_fit` fails is scanned."""
+    lines = payload.decode(errors="surrogateescape").splitlines()
+    records = classes, img_idx, labels = [], [], []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:  # a byte that is not UTF-8 fails its line's strict decode
+            record = json.loads(line.encode(errors="surrogateescape").decode())
+            classes.append(record["classes"])
+            img_idx.append(record["img_idx"])
+            labels.append(record["label"])
+            if len(img_idx[-1]) != len(classes[-1]):
+                raise ValueError("img_idx length differs from classes length")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{split}.jsonl line {lineno}: {exc}") from exc
+    if len(classes) != count:
+        raise ValueError(f"{split}.jsonl holds {len(classes)} bags, the manifest says {count}")
     try:
         parsed = Split(_grouped(*records))
-        if all(n in spec.sizes()
-               and class_ids.start <= classes.min() and classes.max() < class_ids.stop
-               and rows.start <= img_idx.min() and img_idx.max() < rows.stop
-               and -_EXACT_LABEL_MAX <= labels.min() and labels.max() <= _EXACT_LABEL_MAX
-               for n, (_, classes, img_idx, labels) in parsed.groups.items()) \
-                and validate_labels(task, parsed):
+        # numpy reads a JSON boolean among ints as 0 or 1; `_record_fault` refuses it
+        if bool not in map(type, itertools.chain(labels, *classes, *img_idx)) \
+                and _records_fit(parsed, count, sizes, class_ids, rows, task):
             return parsed
     except ValueError:  # a value that is not an int
         pass
     for i, bag in enumerate(zip(*records)):
-        fault = _record_fault(*bag, spec.sizes(), class_ids, rows, task)
+        fault = _record_fault(*bag, sizes, class_ids, rows, task)
         if fault:
             lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][i]
             raise ValueError(f"{split}.jsonl line {lineno}: {fault}")

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capnet import autodiff, cli, data, models, train
-from test_data import make_idx_images, make_idx_labels, record_reads
+from test_data import (JSON_VALUES, damaged, make_idx_images, make_idx_labels, record_reads,
+                       rewrite_line, write_split)
 
 
 def write_json(path, obj):
@@ -198,24 +199,6 @@ def test_train_missing_dataset(tmp_path, capsys):
     assert "dataset not found" in capsys.readouterr().err
 
 
-def rewrite_line(ds_path, split, lineno, text, fix_checksum=True):
-    """Put `text` in place of one line of a split file; unless told not to,
-    update the manifest's checksum so the line reaches the record parser."""
-    path = os.path.join(ds_path, f"{split}.jsonl")
-    with open(path) as f:
-        lines = f.read().splitlines()
-    lines[lineno - 1] = text
-    payload = ("\n".join(lines) + "\n").encode()
-    with open(path, "wb") as f:
-        f.write(payload)
-    if fix_checksum:
-        manifest_path = os.path.join(ds_path, "manifest.json")
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        manifest["checksums"][split] = hashlib.sha256(payload).hexdigest()
-        write_json(manifest_path, manifest)
-
-
 @pytest.mark.parametrize("line, why", [
     ("[1,2]", "list indices"),
     ('"str"', "string indices"),
@@ -232,6 +215,8 @@ def rewrite_line(ds_path, split, lineno, text, fix_checksum=True):
     ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":NaN}', "label nan"),
     ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":null}', "label None"),
     ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":9007199254740993}', "label 9007"),
+    ('{"classes":[true,3,3],"img_idx":[-1,-1,-1],"label":4}', r"classes \[True, 3, 3\] hold"),
+    ('{"classes":[1,0,0],"img_idx":[-1,-1,-1],"label":true}', "label True is not an integer"),
 ])
 def test_malformed_records_name_their_line_and_exit_2(tmp_path, capsys, line, why):
     ds = dataset_dir(tmp_path, counts=(20, 5, 5))
@@ -241,6 +226,28 @@ def test_malformed_records_name_their_line_and_exit_2(tmp_path, capsys, line, wh
     assert cli.main(["train", "--config", train_config(tmp_path, ds),
                      "--out", str(tmp_path / "o")]) == 2
     assert "val.jsonl line 3" in capsys.readouterr().err
+
+
+def test_non_utf8_split_file_names_its_line_and_exits_2(tmp_path, capsys):
+    ds = dataset_dir(tmp_path, counts=(20, 5, 5))
+    with open(os.path.join(ds, "val.jsonl"), "rb") as f:
+        lines = f.read().splitlines(keepends=True)
+    for lineno, bad, why in [(1, b"\xc3(", "byte 0xc3 in position 44: invalid continuation"),
+                             (5, b"\xe2\x82", "bytes in position 44-45: invalid continuation"),
+                             (3, b"\xff", "byte 0xff in position 44: invalid start")]:
+        edited = list(lines)
+        edited[lineno - 1] = edited[lineno - 1].replace(b"label", b"lab" + bad)
+        write_split(ds, "val", b"".join(edited))
+        with pytest.raises(ValueError, match=f"^val.jsonl line {lineno}: 'utf-8' codec can't "
+                                             f"decode {why} byte$"):
+            data.load_dataset(ds)
+    assert cli.main(["train", "--config", train_config(tmp_path, ds),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "val.jsonl line 3: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    # an earlier line that is not JSON is named first
+    write_split(ds, "val", b"".join([b'{"classes": [1, 2],\n'] + edited[1:]))
+    with pytest.raises(ValueError, match="^val.jsonl line 1: Expecting"):
+        data.load_dataset(ds)
 
 
 def test_edited_label_with_a_fixed_checksum_exits_2(tmp_path, capsys):
@@ -336,34 +343,6 @@ def test_image_index_outside_its_pool_is_rejected(tmp_path):
         data.load_dataset(ds)
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
-                                                                max_size=3),
-    max_leaves=6)
-
-
-@st.composite
-def damaged(draw, line: str) -> str:
-    """A record line cut short, replaced, or with one key, field or element
-    swapped for arbitrary JSON."""
-    kind = draw(st.sampled_from(["cut", "record", "drop", "field", "element"]))
-    if kind == "cut":
-        return line[:draw(st.integers(0, len(line) - 1))]
-    if kind == "record":
-        return json.dumps(draw(_JSON))
-    record = json.loads(line)
-    key = draw(st.sampled_from(sorted(record)))
-    if kind == "drop":
-        del record[key]
-    elif kind == "field":
-        record[key] = draw(_JSON)
-    else:
-        values = record[draw(st.sampled_from(["classes", "img_idx"]))]
-        values[draw(st.integers(0, len(values) - 1))] = draw(_JSON)
-    return json.dumps(record)
-
-
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
@@ -428,7 +407,7 @@ def damaged_config(draw, config: dict) -> dict:
     if draw(st.booleans()):
         del holder[key]
     else:
-        holder[key] = _fold_ints(draw(_JSON))
+        holder[key] = _fold_ints(draw(JSON_VALUES))
     return config
 
 

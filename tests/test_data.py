@@ -4,9 +4,12 @@ import hashlib
 import io
 import json
 import os
+import re
+import shutil
 import struct
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,16 +252,58 @@ def test_product_task_never_samples_class_zero():
     assert labels_check_out(ds)
 
 
-def rewrite_split(path, split: str, edits: dict):
-    """Replace lines (1-based) of a saved split file and its checksum."""
-    lines = (path / f"{split}.jsonl").read_text().splitlines()
+def write_split(path, split: str, payload: bytes, fix_checksum=True):
+    """Write a saved split file's bytes; unless told not to, update the
+    manifest's checksum so they reach the record parser."""
+    path = Path(path)
+    (path / f"{split}.jsonl").write_bytes(payload)
+    if fix_checksum:
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["checksums"][split] = hashlib.sha256(payload).hexdigest()
+        (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def rewrite_split(path, split: str, edits: dict, fix_checksum=True):
+    """Replace lines (1-based) of a saved split file and, unless told not
+    to, its checksum."""
+    lines = (Path(path) / f"{split}.jsonl").read_text().splitlines()
     for lineno, text in edits.items():
         lines[lineno - 1] = text
-    payload = ("\n".join(lines) + "\n").encode()
-    (path / f"{split}.jsonl").write_bytes(payload)
-    manifest = json.loads((path / "manifest.json").read_text())
-    manifest["checksums"][split] = hashlib.sha256(payload).hexdigest()
-    (path / "manifest.json").write_text(json.dumps(manifest))
+    write_split(path, split, ("\n".join(lines) + "\n").encode(), fix_checksum)
+
+
+def rewrite_line(ds_path, split, lineno, text, fix_checksum=True):
+    """Put `text` in place of one line of a split file; unless told not to,
+    update the manifest's checksum so the line reaches the record parser."""
+    rewrite_split(ds_path, split, {lineno: text}, fix_checksum)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def damaged(draw, line: str) -> str:
+    """A record line cut short, replaced, or with one key, field or element
+    swapped for arbitrary JSON."""
+    kind = draw(st.sampled_from(["cut", "record", "drop", "field", "element"]))
+    if kind == "cut":
+        return line[:draw(st.integers(0, len(line) - 1))]
+    if kind == "record":
+        return json.dumps(draw(JSON_VALUES))
+    record = json.loads(line)
+    key = draw(st.sampled_from(sorted(record)))
+    if kind == "drop":
+        del record[key]
+    elif kind == "field":
+        record[key] = draw(JSON_VALUES)
+    else:
+        values = record[draw(st.sampled_from(["classes", "img_idx"]))]
+        values[draw(st.integers(0, len(values) - 1))] = draw(JSON_VALUES)
+    return json.dumps(record)
 
 
 def test_load_names_the_first_bag_whose_label_is_not_the_oracles(tmp_path):
@@ -482,6 +527,196 @@ def test_load_reports_line_numbers(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="line 3"):
         data.load_dataset(tmp_path)
+
+
+def test_load_refuses_json_booleans(tmp_path):
+    """numpy reads a JSON boolean among ints as 0 or 1; a split file holding
+    one in its classes, image indices or label is refused at its line."""
+    spec = data.DatasetSpec(task="US", set_size=3, counts=(20, 5, 5), seed=0)
+    data.save_dataset(data.generate_dataset(spec), tmp_path / "us")
+    rewrite_line(tmp_path / "us", "val", 1, '{"classes":[true,3,3],"img_idx":[-1,-1,-1],"label":4}')
+    with pytest.raises(ValueError, match=r"^val.jsonl line 1: classes \[True, 3, 3\] hold an id "
+                                         r"outside range\(0, 10\)$"):
+        data.load_dataset(tmp_path / "us")
+    # in image mode 0 is a row of the pool, so `false` passes every range check
+    spec = data.DatasetSpec(task="US", mode="image", set_size=3, counts=(20, 8, 8), seed=2)
+    data.save_dataset(data.generate_dataset(spec, pools=image_pools(tmp_path)), tmp_path / "im")
+    record = json.loads((tmp_path / "im" / "val.jsonl").read_text().splitlines()[0])
+    rewrite_line(tmp_path / "im", "val", 1,
+                 json.dumps(dict(record, img_idx=[False] + record["img_idx"][1:])))
+    with pytest.raises(ValueError, match=r"^val.jsonl line 1: img_idx \[False, "):
+        data.load_dataset(tmp_path / "im")
+
+
+def save_kinds(tmp_path):
+    """Save a single-size symbolic, a mixed-size (2, 3, 5) and an image
+    dataset under `tmp_path`, as single/, mixed/ and image/."""
+    specs = {"single": data.DatasetSpec(task="USS", set_size=4, counts=(20, 6, 6), seed=3),
+             "mixed": data.DatasetSpec(task="WTri", set_size=(2, 3, 5), counts=(20, 6, 6), seed=1),
+             "image": data.DatasetSpec(task="US", mode="image", set_size=3, counts=(20, 8, 8),
+                                       seed=2)}
+    pools = image_pools(tmp_path)
+    for name, spec in specs.items():
+        ds = data.generate_dataset(spec, pools=pools if spec.mode == "image" else None)
+        data.save_dataset(ds, tmp_path / name)
+
+
+def load_outcome(path, line_by_line=False):
+    """Each split's groups as `load_dataset` gives them, or its error text;
+    `line_by_line` turns the array reader off."""
+    with pytest.MonkeyPatch.context() as mp:
+        if line_by_line:
+            mp.setattr(data, "_read_canonical", lambda payload: None)
+        try:
+            return {s: split.groups for s, split in data.load_dataset(path).splits.items()}
+        except ValueError as exc:
+            return str(exc)
+
+
+def assert_same_outcome(path):
+    """Load `path` with the array reader on and off; both give the same
+    groups, as C-contiguous int64 arrays, or the same error. Returns it."""
+    fast, slow = load_outcome(path), load_outcome(path, line_by_line=True)
+    if isinstance(fast, str) or isinstance(slow, str):
+        assert fast == slow
+        return fast
+    assert fast.keys() == slow.keys()
+    for split in slow:
+        assert list(fast[split]) == list(slow[split])
+        for n, group in slow[split].items():
+            for a, b in zip(fast[split][n], group):
+                assert a.dtype == b.dtype == np.int64 and a.flags.c_contiguous
+                assert np.array_equal(a, b)
+    return fast
+
+
+def canonical(text: str) -> str:
+    """`text` as the writer would lay out its JSON value, if it is JSON."""
+    try:
+        return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+    except ValueError:
+        return text
+
+
+@st.composite
+def revalued(draw, line: str) -> str:
+    """A record line with one class, image index or label set to a small int."""
+    record = json.loads(line)
+    key = draw(st.sampled_from(["classes", "img_idx", "label"]))
+    if key == "label":
+        record[key] = draw(st.integers(-2, 60))
+    else:
+        record[key][draw(st.integers(0, len(record[key]) - 1))] = draw(st.integers(-2, 12))
+    return json.dumps(record)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_array_reader_agrees_with_the_line_parser(tmp_path, draw):
+    """A split file with one damaged line, its checksum recomputed, loads to
+    the same groups, or fails with the same error, with the array reader on
+    and off. The line is often laid out as the writer would, so a bad value
+    in it reaches the array reader's own checks."""
+    if not (tmp_path / "single").exists():
+        save_kinds(tmp_path)
+    base = tmp_path / draw.draw(st.sampled_from(["single", "mixed", "image"]))
+    ds = tmp_path / "ds"
+    shutil.rmtree(ds, ignore_errors=True)
+    shutil.copytree(base, ds)
+    split = draw.draw(st.sampled_from(data.SPLITS))
+    lines = (ds / f"{split}.jsonl").read_text().splitlines()
+    lineno = draw.draw(st.integers(1, len(lines)))
+    text = draw.draw(st.one_of(damaged(lines[lineno - 1]), revalued(lines[lineno - 1])))
+    rewrite_line(ds, split, lineno, canonical(text) if draw.draw(st.booleans()) else text)
+    assert_same_outcome(ds)
+
+
+def _edit_line(payload: bytes, lineno: int, edit) -> bytes:
+    lines = payload.splitlines(keepends=True)
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    return b"".join(lines)
+
+
+def _with_first(payload: bytes, key: str, text: str) -> bytes:
+    """Line 2 with the first value of `key` written as `text`."""
+    def edit(line):
+        head, tail = line.split(f'"{key}":'.encode())
+        if key == "label":
+            return head + f'"label":{text}}}\n'.encode()
+        return head + f'"{key}":[{text},'.encode() + tail.split(b",", 1)[1]
+    return _edit_line(payload, 2, edit)
+
+
+def _reordered(line: bytes) -> bytes:
+    record = json.loads(line)
+    return json.dumps(dict(reversed(record.items())), separators=(",", ":")).encode() + b"\n"
+
+
+def _zero_class(payload: bytes) -> bytes:
+    """Line 2 with its first class 0, relabelled, and the 0 written as -0."""
+    record = json.loads(payload.splitlines()[1])
+    record["classes"][0] = 0
+    record["label"] = oracle.eval_task(oracle.TaskSpec("WTri"), record["classes"])
+    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _edit_line(payload, 2, lambda _: line.replace("[0,", "[-0,").encode() + b"\n")
+
+
+_NEAR_CANONICAL = {
+    "blank line": (lambda p: _edit_line(p, 2, lambda line: line + b"\n"), None),
+    "no trailing newline": (lambda p: p[:-1], None),
+    "CRLF": (lambda p: p.replace(b"\n", b"\r\n"), None),
+    "reordered keys": (lambda p: _edit_line(p, 2, _reordered), None),
+    "extra key": (lambda p: _edit_line(p, 2, lambda line: line[:-2] + b',"note":7}\n'), None),
+    "-0": (_zero_class, None),
+    "01": (lambda p: _with_first(p, "classes", "01"), "^val.jsonl line 2: Expecting"),
+    "17-digit label": (lambda p: _with_first(p, "label", "12345678901234567"),
+                       r"^val.jsonl line 2: label 12345678901234567 is not an integer "
+                       r"within \+-2\^53$"),
+    "4.0": (lambda p: _with_first(p, "label", "4.0"), "^val.jsonl line 2: label 4.0 is not"),
+    "-1.0 image index": (lambda p: _with_first(p, "img_idx", "-1.0"),
+                         r"^val.jsonl line 2: img_idx \[-1.0,"),
+}
+
+
+@pytest.mark.parametrize("name", list(_NEAR_CANONICAL))
+def test_array_reader_agrees_on_near_canonical_files(tmp_path, name):
+    """Files that differ from the written layout in one small way load, or
+    fail, as the line parser has them."""
+    edit, why = _NEAR_CANONICAL[name]
+    spec = data.DatasetSpec(task="WTri", set_size=(2, 5), counts=(20, 6, 6), seed=1)
+    data.save_dataset(data.generate_dataset(spec), tmp_path)
+    write_split(tmp_path, "val", edit((tmp_path / "val.jsonl").read_bytes()))
+    outcome = assert_same_outcome(tmp_path)
+    if why is None:
+        assert isinstance(outcome, dict), outcome
+    else:
+        assert re.search(why, outcome), outcome
+
+
+def test_saved_files_skip_the_line_parser(tmp_path, monkeypatch):
+    """No file `save_dataset` writes, of any kind, reaches the per-line
+    parse, and single-size symbolic generation never groups lists."""
+    def refuse(*args):
+        raise AssertionError("took the per-line path")
+    pools = image_pools(tmp_path)
+    generated = {}
+    for name, spec in _PINNED_SPECS.items():
+        with monkeypatch.context() as mp:
+            if spec.mode == "symbolic" and len(spec.sizes()) == 1:
+                mp.setattr(data, "_grouped", refuse)
+            generated[name] = data.generate_dataset(spec, pools=pools if spec.mode == "image"
+                                                    else None)
+        data.save_dataset(generated[name], tmp_path / name)
+    monkeypatch.setattr(data, "_check_records", refuse)
+    monkeypatch.setattr(data, "_grouped", refuse)
+    for name, ds in generated.items():
+        loaded = data.load_dataset(tmp_path / name)
+        for split in data.SPLITS:
+            assert loaded.splits[split].groups.keys() == ds.splits[split].groups.keys()
+            for n, group in ds.splits[split].groups.items():
+                assert all(np.array_equal(a, b) for a, b in zip(loaded.splits[split].groups[n],
+                                                                 group))
 
 
 def test_image_mode_draws_from_matching_class(tmp_path):
