@@ -8,7 +8,9 @@ arrays; on disk it is JSON Lines, one bag per line:
     {"classes":[8,5,8],"img_idx":[-1,-1,-1],"label":13}
 
 Features are not stored; they are derived from the classes (symbolic
-one-hots) or fetched from an image pool (image mode) at batch time.
+one-hots) or fetched from an image pool (image mode) at batch time. A pool
+holds its window's raw uint8 rows and never changes them; a batch scales
+only the rows it gathers.
 
 Generation runs in shards of 1024 bags, each with its own seeded stream.
 A symbolic shard of one set size draws its classes in one [shard, n] call;
@@ -27,7 +29,6 @@ import json
 import math
 import os
 import struct
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -79,10 +80,6 @@ def _idx_header(head: bytes, size: int) -> tuple:
     return magic, dims, header
 
 
-def _scale(raw: np.ndarray) -> np.ndarray:
-    return raw.astype(np.float64) / 255.0
-
-
 def _read_idx_window(path, magic: int, offset: int, count) -> np.ndarray:
     """uint8 rows `offset` to `offset + count` of an IDX file (to its end
     when `count` is None), N x (rows*cols) for images and N for labels.
@@ -107,19 +104,13 @@ def _read_idx_window(path, magic: int, offset: int, count) -> np.ndarray:
     return window
 
 
-# Serialises the first scaling of every pool: `sweep --jobs N` threads share
-# a dataset, and a pool must be scaled once, not once per thread.
-_SCALE_LOCK = threading.Lock()
-
-
 class ImagePool:
     """Images of one split; `offset` keeps indices global when one IDX file
     is partitioned across splits, so leakage checks stay meaningful.
 
-    `images` is raw uint8 IDX rows, and `pixels` is the buffer the pool
-    holds. The rows stay uint8 until `images` is first read; that read
-    scales them to float64 in [0, 1] and keeps the result in `pixels`, so a
-    pool no model reads costs one byte per pixel.
+    `pixels` is the window's raw uint8 IDX rows, held unchanged for the
+    pool's lifetime, so threads may share a pool. `scaled(idx)` gathers rows
+    as float64 in [0, 1]; only the rows a batch uses are ever scaled.
     """
 
     def __init__(self, images: np.ndarray, labels: np.ndarray, split: str,
@@ -134,14 +125,15 @@ class ImagePool:
         self.labels_source = labels_source
         self._by_class = {c: np.flatnonzero(labels == c) for c in range(oracle.NUM_CLASSES)}
 
+    def scaled(self, idx) -> np.ndarray:
+        """Rows `idx` of the window as float pixels in [0, 1]."""
+        return self.pixels[idx].astype(np.float64) / 255.0
+
     @property
     def images(self) -> np.ndarray:
-        """Float pixels in [0, 1], one row per image."""
-        if self.pixels.dtype == np.uint8:
-            with _SCALE_LOCK:
-                if self.pixels.dtype == np.uint8:
-                    self.pixels = _scale(self.pixels)
-        return self.pixels
+        """The whole window as float pixels in [0, 1], one row per image: a
+        fresh copy on every read, which the pool does not keep."""
+        return self.scaled(slice(None))
 
     def indices_for_class(self, c: int) -> np.ndarray:
         return self._by_class[int(c)]
@@ -149,8 +141,7 @@ class ImagePool:
 
 def build_pool(images_path, labels_path, split, offset=0, count=None) -> ImagePool:
     """Pool of the `count` images from `offset` on in an IDX pair. It reads
-    only that window's raw bytes, not the whole file, and scales them on
-    first use."""
+    only that window's raw bytes, not the whole file."""
     images = _read_idx_window(images_path, IDX_MAGIC_IMAGES, offset, count)
     labels = _read_idx_window(labels_path, IDX_MAGIC_LABELS, offset, len(images))
     return ImagePool(images, labels.astype(np.int64), split,
@@ -488,28 +479,28 @@ _MANIFEST_SCHEMA = {name: kind._replace(required=True) for name, kind in {
 
 def _overlapping(windows: dict, wanted) -> set:
     """The splits whose pool window shares rows of one images file with the
-    window of a split in `wanted`; `windows` maps split -> (source, offset,
-    count)."""
+    window of a split in `wanted`; `windows` is the manifest's "pools"."""
     out = set()
-    for split, (source, offset, count) in windows.items():
+    for split, mine in windows.items():
         for other in wanted:
-            o_source, o_offset, o_count = windows.get(other, (None, 0, 0))
-            if (other != split and source == o_source
-                    and offset < o_offset + o_count and o_offset < offset + count):
+            theirs = windows[other]
+            if (other != split and mine["source"] == theirs["source"]
+                    and mine["offset"] < theirs["offset"] + theirs["count"]
+                    and theirs["offset"] < mine["offset"] + mine["count"]):
                 out.add(split)
     return out
 
 
-def load_dataset(path, pools: dict = None, splits=SPLITS) -> Dataset:
+def load_dataset(path, splits=SPLITS) -> Dataset:
     """Load a saved dataset, verifying versions, the manifest's fields, and
     the checksum and records of each split in `splits`, its labels
     against the oracle included. A file in exactly the layout `save_dataset`
     writes is parsed straight into arrays, any other line by line.
 
     Only the named splits' files are read and, in image mode, only their
-    pools are built. A split whose pool window shares rows of an images file
-    with a named split's window is read too, because only then can the two
-    splits share an image; disjoint windows need no extra read. The returned
+    pools are built, from the manifest's windows. A split whose pool window
+    shares rows of an images file with a named split's window is read too,
+    because only then can the two splits share an image; disjoint windows need no extra read. The returned
     dataset holds every split read, and split purity is checked over them.
     """
     with open(os.path.join(path, "manifest.json")) as f:
@@ -518,19 +509,15 @@ def load_dataset(path, pools: dict = None, splits=SPLITS) -> Dataset:
                                   "counts": [manifest["counts"][s] for s in SPLITS]})
     task = oracle.TaskSpec(manifest["task"], pair_set=tuple(tuple(p) for p in manifest["pair_set"]))
 
-    read = set(splits)
-    if spec.mode == "image" and pools is None:
+    read, pools = set(splits), None
+    if spec.mode == "image":
         entries = manifest["pools"]
         if entries is None:
             raise ValueError("manifest.json field 'pools' is empty in image mode")
-        read |= _overlapping({s: (entries[s]["source"], entries[s]["offset"],
-                                  entries[s]["count"]) for s in SPLITS}, splits)
+        read |= _overlapping(entries, splits)
         pools = {s: build_pool(entries[s]["source"], entries[s]["labels"], s,
                                offset=entries[s]["offset"], count=entries[s]["count"])
                  for s in SPLITS if s in read}
-    elif pools:
-        read |= _overlapping({s: (p.source, p.offset, len(p.labels))
-                              for s, p in pools.items()}, splits)
 
     class_ids = range(task.class_range[0], task.class_range[1] + 1)
     loaded = {}
@@ -605,36 +592,43 @@ def _check_records(split: str, payload: bytes, count: int, sizes: tuple, class_i
                    rows: range, task: oracle.TaskSpec) -> Split:
     """The `Split` of a split file read line by line with `json.loads`, or
     ValueError naming its first line that is not UTF-8, not a record, or a
-    bag `_record_fault` refuses; only a file `_records_fit` fails is scanned."""
-    lines = payload.decode(errors="surrogateescape").splitlines()
+    bag `_record_fault` refuses; only a file `_records_fit` fails is scanned.
+    Parsing stops at the first line that is not a record, and the records
+    before it are checked before that line is named."""
     records = classes, img_idx, labels = [], [], []
-    for lineno, line in enumerate(lines, start=1):
+    linenos, failure = [], None
+    for lineno, line in enumerate(payload.decode(errors="surrogateescape").splitlines(), 1):
         if not line.strip():
             continue
         try:  # a byte that is not UTF-8 fails its line's strict decode
             record = json.loads(line.encode(errors="surrogateescape").decode())
-            classes.append(record["classes"])
-            img_idx.append(record["img_idx"])
-            labels.append(record["label"])
-            if len(img_idx[-1]) != len(classes[-1]):
+            bag = record["classes"], record["img_idx"], record["label"]
+            if len(bag[1]) != len(bag[0]):
                 raise ValueError("img_idx length differs from classes length")
         except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"{split}.jsonl line {lineno}: {exc}") from exc
-    if len(classes) != count:
-        raise ValueError(f"{split}.jsonl holds {len(classes)} bags, the manifest says {count}")
-    try:
-        parsed = Split(_grouped(*records))
-        # numpy reads a JSON boolean among ints as 0 or 1; `_record_fault` refuses it
-        if bool not in map(type, itertools.chain(labels, *classes, *img_idx)) \
-                and _records_fit(parsed, count, sizes, class_ids, rows, task):
-            return parsed
-    except ValueError:  # a value that is not an int
-        pass
-    for i, bag in enumerate(zip(*records)):
+            failure = lineno, exc
+            break
+        for column, value in zip(records, bag):
+            column.append(value)
+        linenos.append(lineno)
+    if failure is None:
+        if len(classes) != count:
+            raise ValueError(f"{split}.jsonl holds {len(classes)} bags, the manifest says {count}")
+        try:
+            parsed = Split(_grouped(*records))
+            # numpy reads a JSON boolean among ints as 0 or 1; `_record_fault` refuses it
+            if bool not in map(type, itertools.chain(labels, *classes, *img_idx)) \
+                    and _records_fit(parsed, count, sizes, class_ids, rows, task):
+                return parsed
+        except ValueError:  # a value that is not an int
+            pass
+    for lineno, bag in zip(linenos, zip(*records)):
         fault = _record_fault(*bag, sizes, class_ids, rows, task)
         if fault:
-            lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][i]
             raise ValueError(f"{split}.jsonl line {lineno}: {fault}")
+    if failure:
+        lineno, exc = failure
+        raise ValueError(f"{split}.jsonl line {lineno}: {exc}") from exc
     raise ValueError(f"{split}.jsonl holds values that are not ints")
 
 
@@ -686,7 +680,7 @@ def position_features(classes: np.ndarray, img_idx: np.ndarray, mode: str,
             if noise is not None:
                 x += noise[:, pos, :]
         else:
-            x = pool.images[img_idx[:, pos]]
+            x = pool.scaled(img_idx[:, pos])
         feats.append(x)
     return feats
 

@@ -41,7 +41,7 @@ def split_inputs(params, ds: data.Dataset, split: str) -> tuple:
     if ds.spec.mode != "image":
         return groups, None
     used = bags.images()
-    table = models.embed(params, ds.pools[split].images[used]).data
+    table = models.embed(params, ds.pools[split].scaled(used)).data
     groups = {n: (idx, classes, np.searchsorted(used, img_idx), labels)
               for n, (idx, classes, img_idx, labels) in groups.items()}
     return groups, table

@@ -638,8 +638,7 @@ def test_eval_of_one_split_writes_the_bytes_of_a_full_load(tmp_path, monkeypatch
     ckpt = checkpoint_for(tmp_path, ds)
     alone = eval_files(ckpt, ds, str(tmp_path / "alone"), split)
     real_load = data.load_dataset
-    monkeypatch.setattr(data, "load_dataset", lambda path, pools=None, splits=None:
-                        real_load(path, pools))
+    monkeypatch.setattr(data, "load_dataset", lambda path, splits=None: real_load(path))
     full = eval_files(ckpt, ds, str(tmp_path / "full"), split)
     assert sorted(alone) == ["accuracy.csv", "intermediates.csv", "intermediates.jsonl",
                              "mse.csv", "permsens.csv"]
@@ -684,6 +683,26 @@ def test_eval_reads_an_overlapping_split_to_check_purity(tmp_path, monkeypatch, 
     assert f"image ({source!r}, {shared}) used by both train and val" in capsys.readouterr().err
     # test's window lies on another file; it is neither read nor checked
     assert set(data.load_dataset(ds, splits=("test",)).splits) == {"test"}
+
+
+def test_image_run_bytes_are_pinned(tmp_path):
+    """Digests of an image-mode training run and its evaluation; they must
+    not move when the way pools hold or scale their pixels changes."""
+    ds = image_dataset(tmp_path)
+    run, out = tmp_path / "run", tmp_path / "eval"
+    cfg = train_config(tmp_path, ds, batch_size=10, epochs=2)
+    assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
+    assert cli.main(["eval", "--checkpoint", str(run / "checkpoint.capn"), "--dataset", ds,
+                     "--out", str(out), "--metric", "mse,intermediates"]) == 0
+    files = [run / "metrics.csv", run / "checkpoint.capn", out / "mse.csv",
+             out / "intermediates.jsonl"]
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+    assert digests == {
+        "metrics.csv": "8cdeca25021cdd45f7e6088c8c190073a50c6dc9045f243d665bf6d8ad3219c1",
+        "checkpoint.capn": "e3c7f20d715022378960753b7df2965eedddfee756f07a70c28c13d6df9ca242",
+        "mse.csv": "2203560ede3e2a17681a3d2922b953a77bdd0640b28a2fb409246832fd7d682b",
+        "intermediates.jsonl": "76c4fdabf8904c8c5c00554d026b4b473e8cbf6b663884cd9491a67b474d1e3f",
+    }
 
 
 def test_train_reads_train_and_val_only_and_writes_the_same_files(tmp_path, monkeypatch):
@@ -742,9 +761,13 @@ def test_sweep_grid_and_delta(tmp_path):
     assert by_family["gru"][9] == ""
 
 
-def test_sweep_jobs_parallel_identical(tmp_path):
-    ds = dataset_dir(tmp_path)
-    cfg = sweep_config(tmp_path, ds)
+@pytest.mark.parametrize("mode", ["symbolic", "image"])
+def test_sweep_jobs_parallel_identical(tmp_path, mode):
+    """Threads of `--jobs 2` share one dataset, image pools included."""
+    if mode == "symbolic":
+        cfg = sweep_config(tmp_path, dataset_dir(tmp_path))
+    else:  # 30 train bags: batches of 10
+        cfg = sweep_config(tmp_path, image_dataset(tmp_path), train={"batch_size": 10, "epochs": 1})
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     assert cli.main(["sweep", "--config", cfg, "--out", out1, "--jobs", "1"]) == 0
     assert cli.main(["sweep", "--config", cfg, "--out", out2, "--jobs", "2"]) == 0

@@ -7,8 +7,6 @@ import os
 import re
 import shutil
 import struct
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capnet import data, evaluate, fileio, models, oracle
+from capnet import data, evaluate, fileio, models, oracle, train
 
 
 def make_idx_images(arrays) -> bytes:
@@ -511,21 +509,17 @@ def test_load_rejects_tampering_and_version_skew(tmp_path):
         data.load_dataset(tmp_path)
 
 
-def test_load_reports_line_numbers(tmp_path):
+@pytest.mark.parametrize("edits, why", [
+    ({3: '{"classes": [1, 2],'}, "test.jsonl line 3: "),  # truncated JSON
+    # a value fault before a line that does not parse is the first bad line
+    ({2: '{"classes":[30,1,2],"img_idx":[-1,-1,-1],"label":33}', 5: '{"classes": [1, 2],'},
+     r"test.jsonl line 2: classes \[30, 1, 2\] hold an id outside range\(0, 10\)$"),
+], ids=["parse-error", "value-fault-first"])
+def test_load_reports_line_numbers(tmp_path, edits, why):
     spec = data.DatasetSpec(task="US", set_size=3, counts=(5, 5, 5), seed=0)
-    ds = data.generate_dataset(spec)
-    data.save_dataset(ds, tmp_path)
-    test_file = tmp_path / "test.jsonl"
-    lines = test_file.read_text().splitlines()
-    lines[2] = '{"classes": [1, 2],'  # truncated JSON
-    payload = "\n".join(lines) + "\n"
-    test_file.write_text(payload)
-    manifest_path = tmp_path / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    import hashlib
-    manifest["checksums"]["test"] = hashlib.sha256(payload.encode()).hexdigest()
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="line 3"):
+    data.save_dataset(data.generate_dataset(spec), tmp_path)
+    rewrite_split(tmp_path, "test", edits)
+    with pytest.raises(ValueError, match=why):
         data.load_dataset(tmp_path)
 
 
@@ -818,39 +812,6 @@ def image_pools(tmp_path, n=60, side=3):
     return partition_pool(ipath, lpath, {"train": n // 2, "val": n // 4, "test": n // 4})
 
 
-def scaled(pools) -> dict:
-    return {s: p.pixels.dtype == np.float64 for s, p in pools.items()}
-
-
-def test_pool_holds_only_its_window_until_first_read(tmp_path):
-    pools = image_pools(tmp_path, n=60, side=3)
-    val = pools["val"]
-    # a uint8 copy of its 15 rows, not a view into the 60-image file
-    assert val.pixels.dtype == np.uint8 and val.pixels.shape == (15, 9)
-    assert val.pixels.base is None and val.pixels.nbytes == 15 * 9
-    images = val.images
-    assert val.pixels is images and val.images is images
-    raw = np.frombuffer((tmp_path / "imgs").read_bytes(), dtype=np.uint8, offset=16)
-    assert images.tobytes() == (raw.reshape(60, 9)[30:45] / 255.0).tobytes()
-    assert scaled(pools) == {"train": False, "val": True, "test": False}
-
-
-def test_generate_load_and_eval_scale_only_what_they_read(tmp_path):
-    pools = image_pools(tmp_path)
-    spec = data.DatasetSpec(task="US", mode="image", set_size=3, counts=(20, 8, 8), seed=2)
-    ds = data.generate_dataset(spec, pools=pools)
-    data.save_dataset(ds, tmp_path / "ds")
-    assert not any(scaled(pools).values())
-
-    loaded = data.load_dataset(tmp_path / "ds")
-    assert loaded.feature_dim() == 9
-    assert not any(scaled(loaded.pools).values())
-    params = models.init_model(models.ModelSpec("gru", capacity=True, input_dim=9,
-                                                embed_dim=4, hidden_dim=4), 0)
-    evaluate.evaluate_mse(params, loaded, "val")
-    assert scaled(loaded.pools) == {"train": False, "val": True, "test": False}
-
-
 def record_reads(monkeypatch) -> list:
     """Record every split file `data` opens and every pool it builds."""
     reads = []
@@ -870,54 +831,52 @@ def record_reads(monkeypatch) -> list:
     return reads
 
 
-def test_load_reads_a_split_whose_given_pool_overlaps_a_named_one(tmp_path, monkeypatch):
-    pools = image_pools(tmp_path)
+def test_no_command_changes_a_pool(tmp_path):
+    """Generation, saving, loading, training and every evaluation routine
+    leave each pool's uint8 window as the same object with the same bytes."""
+    pools = image_pools(tmp_path, n=60, side=3)
+    val = pools["val"]
+    # a uint8 copy of its 15 rows, not a view into the 60-image file
+    assert val.pixels.dtype == np.uint8 and val.pixels.shape == (15, 9)
+    assert val.pixels.base is None and val.pixels.nbytes == 15 * 9
+    raw = np.frombuffer((tmp_path / "imgs").read_bytes(), dtype=np.uint8, offset=16)
+    idx = np.array([3, 0, 14, 3])
+    assert val.scaled(idx).tobytes() == (raw.reshape(60, 9)[30:45][idx] / 255.0).tobytes()
+    assert val.images.tobytes() == (raw.reshape(60, 9)[30:45] / 255.0).tobytes()
+
+    watched = {}
+
+    def unchanged(ds_pools):
+        """Remember `ds_pools`' windows, then check every one remembered so far."""
+        for p in ds_pools.values():
+            watched.setdefault(id(p), (p, p.pixels, p.pixels.tobytes()))
+        assert all(p.pixels is pixels and pixels.dtype == np.uint8
+                   and pixels.tobytes() == payload for p, pixels, payload in watched.values())
+
     spec = data.DatasetSpec(task="US", mode="image", set_size=3, counts=(20, 8, 8), seed=2)
-    data.save_dataset(data.generate_dataset(spec, pools=pools), tmp_path / "ds")
-    # val's rows 25..44 of the file overlap train's 0..29
-    wide = dict(pools, val=data.build_pool(tmp_path / "imgs", tmp_path / "labs", "val",
-                                           offset=25, count=20))
-    reads = record_reads(monkeypatch)
-    assert set(data.load_dataset(tmp_path / "ds", pools=pools, splits=("val",)).splits) == {"val"}
-    assert reads == ["val.jsonl"]
-    reads.clear()
-    try:
-        data.load_dataset(tmp_path / "ds", pools=wide, splits=("val",))
-    except ValueError as exc:
-        assert "used by both train and val" in str(exc)
-    assert reads == ["train.jsonl", "val.jsonl"]
-
-
-def test_concurrent_first_reads_scale_a_pool_once(tmp_path, monkeypatch):
-    pool = image_pools(tmp_path, n=400, side=8)["train"]
-    calls = []
-    real_scale = data._scale
-
-    def counting_scale(raw):
-        calls.append(1)
-        return real_scale(raw)
-
-    monkeypatch.setattr(data, "_scale", counting_scale)
-    results = []
-    start = threading.Barrier(8)
-
-    def read():
-        start.wait(timeout=10)
-        results.append(pool.images)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=read) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(calls) == 1
-    assert len(results) == 8 and all(r is results[0] for r in results)
+    ds = data.generate_dataset(spec, pools=pools)
+    unchanged(pools)
+    data.save_dataset(ds, tmp_path / "ds")
+    unchanged(pools)
+    loaded = data.load_dataset(tmp_path / "ds")
+    unchanged(loaded.pools)
+    unchanged(data.load_dataset(tmp_path / "ds", splits=("val",)).pools)
+    assert loaded.feature_dim() == 9
+    small = {"input_dim": 9, "embed_dim": 4, "hidden_dim": 4}
+    config = train.RunConfig(dataset=str(tmp_path / "ds"), batch_size=8, epochs=1,
+                             model=models.ModelSpec("gru", capacity=True, **small))
+    params = train.train_run(config, dataset=loaded).params
+    unchanged(loaded.pools)
+    baseline = models.init_model(models.ModelSpec("gru", **small), 0)
+    for routine in (lambda: evaluate.evaluate_mse(params, loaded, "val"),
+                    lambda: evaluate.split_mse_and_penalty(params, loaded, "val", 0.5, 0.1),
+                    lambda: evaluate.split_predictions(params, loaded, "val"),
+                    lambda: evaluate.intermediate_mae(params, loaded, "val"),
+                    lambda: evaluate.pseudo_report(baseline, loaded, "val"),
+                    lambda: evaluate.permutation_sensitivity(params, loaded, "val", k=2),
+                    lambda: evaluate.rounded_accuracy(params, loaded, "val")):
+        routine()
+        unchanged(loaded.pools)
 
 
 def test_group_by_size_and_position_features():
