@@ -112,6 +112,8 @@ def cmd_eval(args) -> int:
     for m in metrics:
         if m not in _METRICS:
             raise UsageError(f"unknown metric {m!r}; choose from {', '.join(_METRICS)}")
+    if "permsens" in metrics and args.k < 2:
+        raise UsageError("permutation sensitivity needs k >= 2 passes")
     try:
         params = train.load_params(args.checkpoint)
     except FileNotFoundError as exc:

@@ -1,8 +1,10 @@
 """Measurement procedures over trained models.
 
 All split-level routines walk the bags through `split_batches`, batched by
-size in a fixed order, so repeated evaluation of the same model on the same
-split reproduces results bit for bit. Instance order is the stored order
+size in a fixed order. The calling thread and, on more than one CPU, one
+helper thread each run a batch's forward pass at a time; results come back
+in batch order and every sum is taken in that order, so the figures are
+bit-identical to a one-thread walk. Instance order is the stored order
 unless a routine explicitly permutes it (permutation sensitivity). Every
 routine runs on `params.detached()`, so evaluation builds no autodiff graph
 and leaves the live parameters' gradients alone.
@@ -17,6 +19,10 @@ arrays in place.
 from __future__ import annotations
 
 import json
+import os
+import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,53 +32,75 @@ from . import data, fileio, models, oracle
 EVAL_BATCH = 1000
 
 
-def split_inputs(params, ds: data.Dataset, split: str) -> tuple:
-    """(groups, table) for walking `split` with `split_batches`.
+def split_batches(params, ds: data.Dataset, split: str, work, rngs=(None,)):
+    """Yield (pass, rows, classes, work(classes, feats, labels)) for every
+    evaluation batch of `split`, once per entry of `rngs`, in batch order.
 
-    `groups` is the split's `data.group_by_size`. For an image dataset,
-    `table` holds `models.embed` of each distinct image the split uses, one
-    row per image, and each group's img_idx becomes its images' table rows;
-    for a symbolic dataset `table` is None. `params` should be detached.
+    Bags are grouped by size, smallest first, and cut into batches of
+    EVAL_BATCH in stored order; `rows` are the bags' positions in the split.
+    With an rng, each size group's instance orders are reshuffled first,
+    one `data.permute_instances` draw per group. Symbolic feats are the
+    instances' features; image feats are rows of one table of `models.embed`
+    of each distinct image the split uses (`params` should be detached).
+    `work` runs through `_in_order`, so it must not walk a split itself.
     """
     bags = ds.splits[split]
     if not bags:
         raise ValueError(f"split {split!r} is empty")
-    groups = data.group_by_size(bags)
-    if ds.spec.mode != "image":
-        return groups, None
-    used = bags.images()
-    table = models.embed(params, ds.pools[split].scaled(used)).data
-    groups = {n: (idx, classes, np.searchsorted(used, img_idx), labels)
-              for n, (idx, classes, img_idx, labels) in groups.items()}
-    return groups, table
-
-
-def split_batches(params, ds: data.Dataset, split: str, rng=None, inputs: tuple = None):
-    """Yield (rows, classes, feats, labels) for each evaluation batch; run
-    a batch's feats through `_forward`.
-
-    Bags are grouped by size, smallest first, and cut into batches of
-    EVAL_BATCH in stored order; `rows` are the bags' positions in the split.
-    With an `rng`, each size group's instance orders are reshuffled first,
-    one `data.permute_instances` draw per group. Symbolic feats are the
-    instances' features; image feats are rows of the split's embedding
-    table. A caller that walks the split more than once passes its
-    `split_inputs` as `inputs`, so the split is grouped and embedded once.
-    """
-    groups, table = inputs if inputs is not None else split_inputs(params, ds, split)
+    groups, table = data.group_by_size(bags), None
+    if ds.spec.mode == "image":
+        used = bags.images()
+        table = models.embed(params, ds.pools[split].scaled(used)).data
+        groups = {n: (idx, classes, np.searchsorted(used, img_idx), labels)
+                  for n, (idx, classes, img_idx, labels) in groups.items()}
     noise = data.split_noise(ds, split)
-    for n, (idx, classes, img_idx, labels) in groups.items():
-        gnoise = noise[idx][:, :n, :] if noise is not None else None
-        if rng is not None:
-            classes, img_idx, gnoise = data.permute_instances(rng, classes, img_idx, gnoise)
-        for s in range(0, len(idx), EVAL_BATCH):
-            sl = slice(s, s + EVAL_BATCH)
-            if table is None:
-                feats = data.position_features(classes[sl], img_idx[sl], ds.spec.mode,
-                                               noise=gnoise[sl] if gnoise is not None else None)
+
+    def batches():
+        for p, rng in enumerate(rngs):
+            for n, (idx, classes, img_idx, labels) in groups.items():
+                gnoise = noise[idx][:, :n, :] if noise is not None else None
+                if rng is not None:
+                    classes, img_idx, gnoise = data.permute_instances(rng, classes, img_idx, gnoise)
+                for s in range(0, len(idx), EVAL_BATCH):
+                    sl = slice(s, s + EVAL_BATCH)
+                    if table is None:
+                        feats = data.position_features(classes[sl], img_idx[sl], ds.spec.mode,
+                                                       noise=gnoise[sl] if gnoise is not None else None)
+                    else:
+                        feats = [table[img_idx[sl, pos]] for pos in range(n)]
+                    yield p, idx[sl], classes[sl], feats, labels[sl]
+
+    return _in_order(lambda p, rows, classes, feats, labels:
+                     (p, rows, classes, work(classes, feats, labels)), batches())
+
+
+def _in_order(work, items):
+    """Yield work(*item) for each of `items`, in order. Items are drawn on
+    the calling thread. On more than one CPU, a helper thread takes an item
+    whenever it is idle and begins it before the caller runs the next, so
+    work starts in item order; an exception from either thread reaches the
+    caller, and the helper is joined before this generator ends."""
+    def begin(started, item):
+        started.set()
+        return work(*item)
+
+    queued = deque()  # futures, in item order
+    with ThreadPoolExecutor(1) as helper:
+        # on one CPU, a future that is never done keeps every item inline
+        busy = None if len(os.sched_getaffinity(0)) > 1 else Future()
+        for item in items:
+            if busy is None or busy.done():
+                started = threading.Event()
+                busy = helper.submit(begin, started, item)
+                started.wait()
+                queued.append(busy)
             else:
-                feats = [table[img_idx[sl, pos]] for pos in range(n)]
-            yield idx[sl], classes[sl], feats, labels[sl]
+                queued.append(Future())
+                queued[-1].set_result(work(*item))
+            while queued and queued[0].done():
+                yield queued.popleft().result()
+        for future in queued:
+            yield future.result()
 
 
 def _forward(params, ds: data.Dataset, feats: list) -> models.BatchOutput:
@@ -90,16 +118,25 @@ def split_mse_and_penalty(params, ds: data.Dataset, split: str,
     params = params.detached()
     sq_sum = 0.0
     pen_sum = 0.0
-    for _, _, feats, labels in split_batches(params, ds, split):
-        out = _forward(params, ds, feats)
-        err = out.prediction.data - labels
-        sq_sum += float(err @ err)
-        if reg_lambda > 0 and out.intermediates:
-            for v in out.intermediates:
-                over = np.maximum(0.0, v.data - reg_threshold)
-                pen_sum += float(over @ over)
+    for *_, (sq, pens) in split_batches(params, ds, split, _squared_errors(
+            params, ds, reg_lambda, reg_threshold)):
+        sq_sum += sq
+        for pen in pens:
+            pen_sum += pen
     count = len(ds.splits[split])
     return sq_sum / count, pen_sum / count
+
+
+def _squared_errors(params, ds: data.Dataset, reg_lambda=0.0, reg_threshold=1.0):
+    """`split_batches` work: a batch's summed squared error, and with
+    reg_lambda > 0 each intermediate's summed squared hinge."""
+    def work(classes, feats, labels):
+        out = _forward(params, ds, feats)
+        err = out.prediction.data - labels
+        overs = [np.maximum(0.0, v.data - reg_threshold)
+                 for v in (out.intermediates if reg_lambda > 0 else ())]
+        return float(err @ err), [float(o @ o) for o in overs]
+    return work
 
 
 def evaluate_mse(params, ds: data.Dataset, split: str) -> float:
@@ -112,8 +149,9 @@ def split_predictions(params, ds: data.Dataset, split: str) -> np.ndarray:
     """Model predictions aligned with the split's bag order."""
     params = params.detached()
     preds = np.empty(len(ds.splits[split]))
-    for rows, _, feats, _ in split_batches(params, ds, split):
-        preds[rows] = _forward(params, ds, feats).prediction.data
+    for _, rows, _, pred in split_batches(params, ds, split, lambda classes, feats, labels:
+                                          _forward(params, ds, feats).prediction.data):
+        preds[rows] = pred
     return preds
 
 
@@ -160,9 +198,10 @@ def _step_report(params, ds: data.Dataset, split: str, kind: str, step_values):
         sizes[rows] = n
     starts = np.cumsum(sizes) - sizes
     deltas = np.empty(int(sizes.sum()))
-    for rows, classes, feats, _ in split_batches(params, ds, split):
-        predicted = step_values(params, ds, feats)
-        expected = oracle.decompose_batch(ds.task, classes).astype(np.float64)
+    for _, rows, classes, (predicted, expected) in split_batches(
+            params, ds, split, lambda cls, feats, labels: (
+                step_values(params, ds, feats),
+                oracle.decompose_batch(ds.task, cls).astype(np.float64))):
         deltas[starts[rows][:, None] + np.arange(classes.shape[1])] = np.abs(expected - predicted)
         for bag_i, cls, exp, pred in zip(rows.tolist(), classes.tolist(),
                                          expected.tolist(), predicted.tolist()):
@@ -219,15 +258,11 @@ def permutation_sensitivity(params, ds: data.Dataset, split: str,
     if k < 2:
         raise ValueError("permutation sensitivity needs k >= 2 passes")
     params = params.detached()
-    inputs = split_inputs(params, ds, split)
-    mses = []
-    for pass_idx in range(k):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 13, pass_idx)))
-        sq_sum = 0.0
-        for _, _, feats, labels in split_batches(params, ds, split, rng, inputs):
-            err = _forward(params, ds, feats).prediction.data - labels
-            sq_sum += float(err @ err)
-        mses.append(sq_sum / len(ds.splits[split]))
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, 13, p))) for p in range(k)]
+    sq_sums = [0.0] * k
+    for p, _, _, (sq, _) in split_batches(params, ds, split, _squared_errors(params, ds), rngs):
+        sq_sums[p] += sq
+    mses = [sq_sum / len(ds.splits[split]) for sq_sum in sq_sums]
     arr = np.array(mses)
     spread = float(arr.max() - arr.min())
     return {

@@ -192,7 +192,10 @@ def batch_forward(params: ad.ParamStore, feats: list, embedded: bool = False) ->
             return BatchOutput(ad.Tensor(np.zeros(0)), [], [])
         raise ValueError(f"{spec.label} rejects empty bags")
     batch = feats[0].shape[0]
-    xs = [ad.Tensor(x) if embedded else embed(params, x) for x in feats]
+    # a sequential family embeds each position when its step runs
+    xs = (ad.Tensor(x) if embedded else embed(params, x) for x in feats)
+    if spec.family not in SEQUENTIAL:
+        xs = list(xs)
 
     if spec.family == "deepset":
         z = _mlp(params, "enc", spec.enc_layers, xs[0])

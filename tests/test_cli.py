@@ -553,6 +553,10 @@ def test_eval_metric_validation(trained, capsys):
     assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", ds,
                      "--out", out, "--metric", "bogus"]) == 2
     assert "unknown metric" in capsys.readouterr().err
+    assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", ds, "--out", out,
+                     "--metric", "mse,intermediates,permsens", "--k", "1"]) == 2
+    assert "k >= 2" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_eval_missing_checkpoint(trained):

@@ -6,6 +6,9 @@ are known by construction.
 """
 
 import hashlib
+import pickle
+import threading
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -507,3 +510,106 @@ def test_rounded_accuracy_constant_predictor(us_ds):
     labels = np.array([b.label for b in us_ds.splits["val"]], dtype=np.float64)
     expected = float(np.mean(labels == 0.0))
     assert evaluate.rounded_accuracy(params, us_ds, "val") == pytest.approx(expected)
+
+
+# -- the split iterator: the calling thread and one helper -----------------
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0})
+
+
+def every_routine(ds):
+    cap = small("gru", capacity=True, input_dim=ds.feature_dim())
+    gru = small("gru", input_dim=ds.feature_dim())
+    deepset = small("deepset", input_dim=ds.feature_dim())
+    return {
+        "mse_and_penalty": lambda: evaluate.split_mse_and_penalty(cap, ds, "val", 0.5, 0.0),
+        "predictions": lambda: evaluate.split_predictions(gru, ds, "val"),
+        "intermediate_mae": lambda: evaluate.intermediate_mae(cap, ds, "val"),
+        "pseudo_gru": lambda: evaluate.pseudo_report(gru, ds, "val"),
+        "pseudo_deepset": lambda: evaluate.pseudo_report(deepset, ds, "val"),
+        "permsens": lambda: evaluate.permutation_sensitivity(gru, ds, "val", k=3, seed=1),
+        "accuracy": lambda: evaluate.rounded_accuracy(cap, ds, "val"),
+    }
+
+
+def record_threads(monkeypatch) -> set:
+    """Wrap models.batch_forward; returns the set of threads that call it."""
+    seen = set()
+    real = models.batch_forward
+
+    def recording(params, feats, **kwargs):
+        seen.add(threading.get_ident())
+        return real(params, feats, **kwargs)
+    monkeypatch.setattr(models, "batch_forward", recording)
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "image"])
+def test_the_helper_thread_changes_no_bit_of_any_figure(monkeypatch, mode):
+    """Sizes 2, 3 and 5 cut into batches of 7 give size groups of odd and
+    even batch counts; every routine reports the same bits with the helper
+    as with every batch on the calling thread, and leaves no thread behind."""
+    if mode == "image":
+        ds = image_dataset(set_size=(2, 3, 5), counts=(30, 61, 30))
+    else:
+        ds = data.generate_dataset(data.DatasetSpec(
+            task="WTri", set_size=(2, 3, 5), counts=(30, 61, 30), seed=8, noise=0.1))
+    monkeypatch.setattr(evaluate, "EVAL_BATCH", 7)
+    threads = record_threads(monkeypatch)
+    before = set(threading.enumerate())
+    with_helper = {}
+    for name, run in every_routine(ds).items():
+        with_helper[name] = pickle.dumps(run())
+        assert set(threading.enumerate()) == before
+    assert threads - {threading.get_ident()}
+    one_cpu(monkeypatch)
+    threads.clear()
+    inline = {name: pickle.dumps(run()) for name, run in every_routine(ds).items()}
+    assert threads == {threading.get_ident()}
+    assert with_helper == inline
+    assert pickle.loads(inline["mse_and_penalty"])[1] > 0
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 8])
+def test_in_order_yields_results_in_item_order(count):
+    def work(i):
+        time.sleep(0.002 * (i % 3))  # a later item can finish first
+        return i * i
+    got = list(evaluate._in_order(work, ((i,) for i in range(count))))
+    assert got == [i * i for i in range(count)]
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_a_batch_exception_reaches_the_caller_with_its_type(us_ds, monkeypatch, where):
+    """The helper takes the first batch; while it sleeps on that batch the
+    calling thread takes the next."""
+    monkeypatch.setattr(evaluate, "EVAL_BATCH", 7)
+    real = models.batch_forward
+    main = threading.get_ident()
+
+    def forward(params, feats, **kwargs):
+        if (threading.get_ident() == main) == (where == "caller"):
+            raise Boom(where)
+        time.sleep(0.05)
+        return real(params, feats, **kwargs)
+    monkeypatch.setattr(models, "batch_forward", forward)
+    before = set(threading.enumerate())
+    with pytest.raises(Boom, match=where):
+        evaluate.evaluate_mse(small("gru"), us_ds, "val")
+    assert set(threading.enumerate()) == before
+
+
+def test_one_cpu_starts_no_thread(us_ds, monkeypatch):
+    one_cpu(monkeypatch)
+    monkeypatch.setattr(evaluate, "EVAL_BATCH", 7)
+
+    def start(thread):
+        raise AssertionError("a thread started")
+    monkeypatch.setattr(threading.Thread, "start", start)
+    for run in every_routine(us_ds).values():
+        run()
