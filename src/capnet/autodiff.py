@@ -59,10 +59,6 @@ class Tensor:
         self._backprop = _backprop if self.requires_grad else None
         self._backward_done = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         return self.data.item()
 

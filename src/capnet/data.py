@@ -17,14 +17,14 @@ A symbolic shard of one set size draws its classes in one [shard, n] call;
 mixed set sizes and image mode draw bag by bag. Labels come from
 `oracle.decompose_batch`, summed over positions, in chunks of 1024 rows.
 Loading checks versions and checksums and reads only the splits its caller
-names. A file in the layout saving writes parses straight into arrays, any
-other line by line; every record is checked, its label against the oracle.
+names. The layout saving writes is the file format: a split file parses
+straight into arrays, and every bag is checked, its label against the
+oracle. A file in any other layout is refused at its first line outside it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -203,19 +203,15 @@ class Split:
         return np.flatnonzero(np.bincount(used + 1)) - 1
 
 
-def _grouped(classes: list, img_idx: list, *labels: list) -> dict:
-    """Per-bag lists in stored order as `Split` groups, without labels unless
-    given; ValueError (from `np.array` for a ragged list) when a value is not an int."""
+def _grouped(classes: list, img_idx: list) -> dict:
+    """Per-bag int lists in stored order as `Split` groups, without labels."""
     sizes = np.fromiter(map(len, classes), dtype=np.int64, count=len(classes))
     groups = {}
     for n in np.flatnonzero(np.bincount(sizes)).tolist():
         rows = np.flatnonzero(sizes == n)
-        arrays = [np.array(col if len(rows) == len(col) else [col[i] for i in rows.tolist()])
-                  for col in (classes, img_idx, *labels)]
-        shapes = [(len(rows), n), (len(rows), n), (len(rows),)]
-        if any(a.dtype != np.int64 or a.shape != shape for a, shape in zip(arrays, shapes)):
-            raise ValueError(f"a bag of {n} holds a value that is not an int")
-        groups[n] = (rows, *arrays)
+        groups[n] = (rows, *(np.array(col if len(rows) == len(col) else
+                                      [col[i] for i in rows.tolist()])
+                             for col in (classes, img_idx)))
     return groups
 
 
@@ -361,10 +357,15 @@ def _draw_bags(rng, count: int, sizes: tuple, low: int, high: int, pool, split: 
         img_idx.append(images)
 
 
+def _wrong_labels(task: oracle.TaskSpec, classes: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Which rows of a [B, n] class array store a label other than the oracle's."""
+    return labels != _oracle_labels(task, classes)
+
+
 def validate_labels(task: oracle.TaskSpec, split: Split) -> bool:
     """Whether every stored label of `split` equals the oracle's."""
-    return all(np.array_equal(labels, _oracle_labels(task, classes))
-               for _, classes, _, labels in split.groups.values())
+    return not any(_wrong_labels(task, classes, labels).any()
+                   for _, classes, _, labels in split.groups.values())
 
 
 def check_split_purity(ds: Dataset):
@@ -493,9 +494,10 @@ def _overlapping(windows: dict, wanted) -> set:
 
 def load_dataset(path, splits=SPLITS) -> Dataset:
     """Load a saved dataset, verifying versions, the manifest's fields, and
-    the checksum and records of each split in `splits`, its labels
-    against the oracle included. A file in exactly the layout `save_dataset`
-    writes is parsed straight into arrays, any other line by line.
+    the checksum and bags of each split in `splits`, its labels against the
+    oracle included. A split file must be in exactly the layout
+    `save_dataset` writes; any other layout is refused at its first line
+    outside it.
 
     Only the named splits' files are read and, in image mode, only their
     pools are built, from the manifest's windows. A split whose pool window
@@ -527,11 +529,8 @@ def load_dataset(path, splits=SPLITS) -> Dataset:
         if hashlib.sha256(payload).hexdigest() != manifest["checksums"][split]:
             raise ValueError(f"checksum failure for {split}.jsonl")
         rows = range(len(pools[split].labels)) if pools else range(-1, 0)
-        bounds = (spec.counts[SPLITS.index(split)], spec.sizes(), class_ids, rows, task)
-        parsed = _read_canonical(payload)
-        if parsed is None or not _records_fit(parsed, *bounds):
-            parsed = _check_records(split, payload, *bounds)
-        loaded[split] = parsed
+        loaded[split] = _read_split(split, payload, spec.counts[SPLITS.index(split)],
+                                    spec.sizes(), class_ids, rows, task)
 
     ds = Dataset(spec, task, loaded, pools=pools, manifest=manifest)
     check_split_purity(ds)
@@ -562,74 +561,63 @@ def _read_canonical(payload: bytes):
     return parsed if _split_lines(parsed := Split(groups)).encode() == payload else None
 
 
-def _records_fit(parsed: Split, count: int, sizes: tuple, class_ids: range, rows: range,
-                 task: oracle.TaskSpec) -> bool:
-    """Whether `parsed` is `count` bags that `_record_fault` passes, checked as arrays."""
-    return len(parsed) == count and all(
-        n in sizes and class_ids.start <= classes.min() and classes.max() < class_ids.stop
-        and rows.start <= img_idx.min() and img_idx.max() < rows.stop
-        and -_EXACT_LABEL_MAX <= labels.min() and labels.max() <= _EXACT_LABEL_MAX
-        for n, (_, classes, img_idx, labels) in parsed.groups.items()) \
-        and validate_labels(task, parsed)
+def _read_split(split: str, payload: bytes, count: int, sizes: tuple, class_ids: range,
+                rows: range, task: oracle.TaskSpec) -> Split:
+    """The `Split` of a split file. A ValueError names the first line that
+    holds a bag `_first_fault` refuses, else the first line outside the
+    layout, else a bag count other than `count`. Only a file
+    `_read_canonical` refuses is bisected: a prefix of a file in the layout
+    is in the layout, so the longest such prefix ends just before the first
+    line outside it."""
+    parsed, outside = _read_canonical(payload), None
+    if parsed is None:
+        cuts = np.flatnonzero(np.frombuffer(payload, dtype=np.uint8) == ord("\n")) + 1
+        good, outside, parsed = 0, len(cuts) + (not payload.endswith(b"\n")), Split({})
+        while outside - good > 1:
+            mid = (good + outside) // 2
+            prefix = _read_canonical(payload[:cuts[mid - 1]])
+            if prefix is None:
+                outside = mid
+            else:
+                good, parsed = mid, prefix
+    fault = _first_fault(parsed, sizes, class_ids, rows, task)
+    if fault:
+        raise ValueError(f"{split}.jsonl line {fault[0] + 1}: {fault[1]}")
+    if outside:
+        raise ValueError(f"{split}.jsonl line {outside}: not in the layout save_dataset writes")
+    if len(parsed) != count:
+        raise ValueError(f"{split}.jsonl holds {len(parsed)} bags, the manifest says {count}")
+    return parsed
 
 
-def _record_fault(classes, img_idx, label, sizes: tuple, class_ids: range, rows: range,
-                  task: oracle.TaskSpec) -> str:
-    """Why a loaded bag is not a record of its dataset, or "" when it is."""
-    if len(classes) not in sizes:
-        return f"set size {len(classes)} is not one of {sizes}"
-    if not all(type(c) is int and c in class_ids for c in classes):
-        return f"classes {classes!r} hold an id outside {class_ids}"
-    if not all(type(i) is int and i in rows for i in img_idx):
-        return f"img_idx {img_idx!r} hold an index outside {rows}"
-    if not (type(label) is int and -_EXACT_LABEL_MAX <= label <= _EXACT_LABEL_MAX):
-        return f"label {label!r} is not an integer within +-2^53"
-    expected = int(_oracle_labels(task, np.array([classes]))[0])
-    return f"stored label {label} != oracle {expected}" if label != expected else ""
-
-
-def _check_records(split: str, payload: bytes, count: int, sizes: tuple, class_ids: range,
-                   rows: range, task: oracle.TaskSpec) -> Split:
-    """The `Split` of a split file read line by line with `json.loads`, or
-    ValueError naming its first line that is not UTF-8, not a record, or a
-    bag `_record_fault` refuses; only a file `_records_fit` fails is scanned.
-    Parsing stops at the first line that is not a record, and the records
-    before it are checked before that line is named."""
-    records = classes, img_idx, labels = [], [], []
-    linenos, failure = [], None
-    for lineno, line in enumerate(payload.decode(errors="surrogateescape").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:  # a byte that is not UTF-8 fails its line's strict decode
-            record = json.loads(line.encode(errors="surrogateescape").decode())
-            bag = record["classes"], record["img_idx"], record["label"]
-            if len(bag[1]) != len(bag[0]):
-                raise ValueError("img_idx length differs from classes length")
-        except (ValueError, KeyError, TypeError) as exc:
-            failure = lineno, exc
-            break
-        for column, value in zip(records, bag):
-            column.append(value)
-        linenos.append(lineno)
-    if failure is None:
-        if len(classes) != count:
-            raise ValueError(f"{split}.jsonl holds {len(classes)} bags, the manifest says {count}")
-        try:
-            parsed = Split(_grouped(*records))
-            # numpy reads a JSON boolean among ints as 0 or 1; `_record_fault` refuses it
-            if bool not in map(type, itertools.chain(labels, *classes, *img_idx)) \
-                    and _records_fit(parsed, count, sizes, class_ids, rows, task):
-                return parsed
-        except ValueError:  # a value that is not an int
-            pass
-    for lineno, bag in zip(linenos, zip(*records)):
-        fault = _record_fault(*bag, sizes, class_ids, rows, task)
-        if fault:
-            raise ValueError(f"{split}.jsonl line {lineno}: {fault}")
-    if failure:
-        lineno, exc = failure
-        raise ValueError(f"{split}.jsonl line {lineno}: {exc}") from exc
-    raise ValueError(f"{split}.jsonl holds values that are not ints")
+def _first_fault(split: Split, sizes: tuple, class_ids: range, rows: range,
+                 task: oracle.TaskSpec):
+    """(row, why) for the first bag in stored order that is not a record of
+    its dataset, or None. Each group is checked as arrays. A bag's reason is
+    the first of set size, classes, image indices and label range that
+    fails, else a label other than the oracle's; the oracle sees only the
+    bags every range check passes."""
+    first = None
+    for n, (at, classes, img_idx, labels) in split.groups.items():
+        faults = np.stack([
+            np.full(len(at), n not in sizes),
+            ((classes < class_ids.start) | (classes >= class_ids.stop)).any(axis=1),
+            ((img_idx < rows.start) | (img_idx >= rows.stop)).any(axis=1),
+            (labels < -_EXACT_LABEL_MAX) | (labels > _EXACT_LABEL_MAX)])
+        ranged = ~faults.any(axis=0)
+        wrong = np.zeros_like(ranged)
+        wrong[ranged] = _wrong_labels(task, classes[ranged], labels[ranged])
+        bad = np.flatnonzero(~ranged | wrong)
+        if bad.size and (first is None or at[bad[0]] < first[0]):
+            j = bad[0]
+            first = at[j], (
+                f"stored label {labels[j]} != oracle {_oracle_labels(task, classes[j:j + 1])[0]}"
+                if wrong[j] else
+                (f"set size {n} is not one of {sizes}",
+                 f"classes {classes[j].tolist()} hold an id outside {class_ids}",
+                 f"img_idx {img_idx[j].tolist()} hold an index outside {rows}",
+                 f"label {labels[j]} is not an integer within +-2^53")[np.argmax(faults[:, j])])
+    return first
 
 
 def data_root() -> str:

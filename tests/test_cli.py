@@ -14,8 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capnet import autodiff, cli, data, models, train
-from test_data import (JSON_VALUES, damaged, make_idx_images, make_idx_labels, record_reads,
-                       rewrite_line, write_split)
+from test_data import (JSON_VALUES, LAYOUT, damaged, make_idx_images, make_idx_labels,
+                       record_reads, rewrite_line, write_split)
 
 
 def write_json(path, obj):
@@ -200,23 +200,23 @@ def test_train_missing_dataset(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, why", [
-    ("[1,2]", "list indices"),
-    ('"str"', "string indices"),
-    ('{"classes":5,"img_idx":[-1,-1,-1],"label":3}', "len"),
-    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1]}', "'label'"),
+    ("[1,2]", LAYOUT),
+    ('"str"', LAYOUT),
+    ('{"classes":5,"img_idx":[-1,-1,-1],"label":3}', LAYOUT),
+    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1]}', LAYOUT),
     ('{"classes":[30,1,2],"img_idx":[-1,-1,-1],"label":33}', r"classes \[30, 1, 2\] hold an id outside"),
     ('{"classes":[-1,1,2],"img_idx":[-1,-1,-1],"label":3}', r"outside range\(0, 10\)"),
-    ('{"classes":[1,"2",3],"img_idx":[-1,-1,-1],"label":6}', r"outside range\(0, 10\)"),
-    ('{"classes":[1,[2],3],"img_idx":[-1,-1,-1],"label":6}', r"outside range\(0, 10\)"),
-    ('{"classes":[1,2.5,3],"img_idx":[-1,-1,-1],"label":6}', r"outside range\(0, 10\)"),
+    ('{"classes":[1,"2",3],"img_idx":[-1,-1,-1],"label":6}', LAYOUT),
+    ('{"classes":[1,[2],3],"img_idx":[-1,-1,-1],"label":6}', LAYOUT),
+    ('{"classes":[1,2.5,3],"img_idx":[-1,-1,-1],"label":6}', LAYOUT),
     ('{"classes":[1,2],"img_idx":[-1,-1],"label":3}', r"set size 2 is not one of \(3,\)"),
     ('{"classes":[1,2,3],"img_idx":[-1,-1,4],"label":6}', r"img_idx \[-1, -1, 4\]"),
-    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":6.5}', "label 6.5 is not an integer"),
-    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":NaN}', "label nan"),
-    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":null}', "label None"),
+    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":6.5}', LAYOUT),
+    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":NaN}', LAYOUT),
+    ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":null}', LAYOUT),
     ('{"classes":[1,2,3],"img_idx":[-1,-1,-1],"label":9007199254740993}', "label 9007"),
-    ('{"classes":[true,3,3],"img_idx":[-1,-1,-1],"label":4}', r"classes \[True, 3, 3\] hold"),
-    ('{"classes":[1,0,0],"img_idx":[-1,-1,-1],"label":true}', "label True is not an integer"),
+    ('{"classes":[true,3,3],"img_idx":[-1,-1,-1],"label":4}', LAYOUT),
+    ('{"classes":[1,0,0],"img_idx":[-1,-1,-1],"label":true}', LAYOUT),
 ])
 def test_malformed_records_name_their_line_and_exit_2(tmp_path, capsys, line, why):
     ds = dataset_dir(tmp_path, counts=(20, 5, 5))
@@ -232,21 +232,18 @@ def test_non_utf8_split_file_names_its_line_and_exits_2(tmp_path, capsys):
     ds = dataset_dir(tmp_path, counts=(20, 5, 5))
     with open(os.path.join(ds, "val.jsonl"), "rb") as f:
         lines = f.read().splitlines(keepends=True)
-    for lineno, bad, why in [(1, b"\xc3(", "byte 0xc3 in position 44: invalid continuation"),
-                             (5, b"\xe2\x82", "bytes in position 44-45: invalid continuation"),
-                             (3, b"\xff", "byte 0xff in position 44: invalid start")]:
+    for lineno, bad in [(1, b"\xc3("), (5, b"\xe2\x82"), (3, b"\xff")]:
         edited = list(lines)
         edited[lineno - 1] = edited[lineno - 1].replace(b"label", b"lab" + bad)
         write_split(ds, "val", b"".join(edited))
-        with pytest.raises(ValueError, match=f"^val.jsonl line {lineno}: 'utf-8' codec can't "
-                                             f"decode {why} byte$"):
+        with pytest.raises(ValueError, match=f"^val.jsonl line {lineno}: {LAYOUT}$"):
             data.load_dataset(ds)
     assert cli.main(["train", "--config", train_config(tmp_path, ds),
                      "--out", str(tmp_path / "o")]) == 2
-    assert "val.jsonl line 3: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    assert f"val.jsonl line 3: {LAYOUT}" in capsys.readouterr().err
     # an earlier line that is not JSON is named first
     write_split(ds, "val", b"".join([b'{"classes": [1, 2],\n'] + edited[1:]))
-    with pytest.raises(ValueError, match="^val.jsonl line 1: Expecting"):
+    with pytest.raises(ValueError, match=f"^val.jsonl line 1: {LAYOUT}$"):
         data.load_dataset(ds)
 
 
@@ -255,7 +252,7 @@ def test_edited_label_with_a_fixed_checksum_exits_2(tmp_path, capsys):
     with open(os.path.join(ds, "train.jsonl")) as f:
         record = json.loads(f.read().splitlines()[3])
     record["label"] += 1
-    rewrite_line(ds, "train", 4, json.dumps(record))
+    rewrite_line(ds, "train", 4, json.dumps(record, sort_keys=True, separators=(",", ":")))
     assert cli.main(["train", "--config", train_config(tmp_path, ds, batch_size=10),
                      "--out", str(tmp_path / "o")]) == 2
     assert re.search(r"train.jsonl line 4: stored label \d+ != oracle \d+",
@@ -338,7 +335,7 @@ def test_image_index_outside_its_pool_is_rejected(tmp_path):
     with open(os.path.join(ds, "val.jsonl")) as f:
         record = json.loads(f.readline())
     record["img_idx"][0] = 15  # the val pool holds rows 0..14
-    rewrite_line(ds, "val", 1, json.dumps(record))
+    rewrite_line(ds, "val", 1, json.dumps(record, sort_keys=True, separators=(",", ":")))
     with pytest.raises(ValueError, match=r"^val.jsonl line 1: img_idx \[15, .*range\(0, 15\)"):
         data.load_dataset(ds)
 
@@ -674,7 +671,7 @@ def test_eval_reads_an_overlapping_split_to_check_purity(tmp_path, monkeypatch, 
     with open(os.path.join(ds, "val.jsonl")) as f:
         record = json.loads(f.readline())
     record["img_idx"][0] = shared
-    rewrite_line(ds, "val", 1, json.dumps(record))
+    rewrite_line(ds, "val", 1, json.dumps(record, sort_keys=True, separators=(",", ":")))
 
     reads = record_reads(monkeypatch)
     source = manifest["pools"]["train"]["source"]

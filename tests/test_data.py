@@ -270,6 +270,9 @@ def rewrite_split(path, split: str, edits: dict, fix_checksum=True):
     write_split(path, split, ("\n".join(lines) + "\n").encode(), fix_checksum)
 
 
+LAYOUT = "not in the layout save_dataset writes"
+
+
 def rewrite_line(ds_path, split, lineno, text, fix_checksum=True):
     """Put `text` in place of one line of a split file; unless told not to,
     update the manifest's checksum so the line reaches the record parser."""
@@ -314,18 +317,17 @@ def test_load_names_the_first_bag_whose_label_is_not_the_oracles(tmp_path):
     truth = oracle.eval_task(ds.task, val[first].classes)
 
     def record(bag, **fields):
-        return json.dumps({**bag._asdict(), **fields}, separators=(",", ":"))
+        return json.dumps({**bag._asdict(), **fields}, sort_keys=True, separators=(",", ":"))
     # the size-2 group is checked first, but the error names the earlier bag
     rewrite_split(tmp_path, "val", {later + 1: record(val[later], label=val[later].label + 1),
                                     first + 1: record(val[first], label=truth + 2)})
     with pytest.raises(ValueError, match=f"^val.jsonl line {first + 1}: "
                                          f"stored label {truth + 2} != oracle {truth}$"):
         data.load_dataset(tmp_path)
-    # a non-integer label is wrong too, and so is an integral float
+    # a non-integer label is not in the layout, and neither is an integral float
     for label in (truth + 0.5, float(truth)):
         rewrite_split(tmp_path, "val", {first + 1: record(val[first], label=label)})
-        with pytest.raises(ValueError, match=f"^val.jsonl line {first + 1}: label {label} "
-                                             "is not an integer"):
+        with pytest.raises(ValueError, match=f"^val.jsonl line {first + 1}: {LAYOUT}$"):
             data.load_dataset(tmp_path)
     rewrite_split(tmp_path, "val", {first + 1: record(val[first], classes=[10] * 5)})
     with pytest.raises(ValueError, match=f"^val.jsonl line {first + 1}: .*outside"):
@@ -447,8 +449,9 @@ def test_split_lines_match_sorted_json_dumps(bags):
     """Each line is what `json.dumps` gives for the bag's record, in stored
     order, for bags of several sizes holding any int64 values."""
     records = [{"classes": v[:n], "img_idx": v[n:2 * n], "label": y} for n, v, y in bags]
-    columns = [[r[k] for r in records] for k in ("classes", "img_idx", "label")]
-    split = data.Split(data._grouped(*columns))
+    groups = data._grouped(*([r[k] for r in records] for k in ("classes", "img_idx")))
+    labels = np.array([r["label"] for r in records], dtype=np.int64)
+    split = data.Split({n: (*group, labels[group[0]]) for n, group in groups.items()})
     assert data._split_lines(split) == "".join(
         json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
 
@@ -524,21 +527,21 @@ def test_load_reports_line_numbers(tmp_path, edits, why):
 
 
 def test_load_refuses_json_booleans(tmp_path):
-    """numpy reads a JSON boolean among ints as 0 or 1; a split file holding
-    one in its classes, image indices or label is refused at its line."""
+    """A JSON boolean is not an int of the layout, though numpy would read
+    one as 0 or 1; a split file holding one in its classes, image indices or
+    label is refused at its line."""
     spec = data.DatasetSpec(task="US", set_size=3, counts=(20, 5, 5), seed=0)
     data.save_dataset(data.generate_dataset(spec), tmp_path / "us")
     rewrite_line(tmp_path / "us", "val", 1, '{"classes":[true,3,3],"img_idx":[-1,-1,-1],"label":4}')
-    with pytest.raises(ValueError, match=r"^val.jsonl line 1: classes \[True, 3, 3\] hold an id "
-                                         r"outside range\(0, 10\)$"):
+    with pytest.raises(ValueError, match=f"^val.jsonl line 1: {LAYOUT}$"):
         data.load_dataset(tmp_path / "us")
     # in image mode 0 is a row of the pool, so `false` passes every range check
     spec = data.DatasetSpec(task="US", mode="image", set_size=3, counts=(20, 8, 8), seed=2)
     data.save_dataset(data.generate_dataset(spec, pools=image_pools(tmp_path)), tmp_path / "im")
     record = json.loads((tmp_path / "im" / "val.jsonl").read_text().splitlines()[0])
-    rewrite_line(tmp_path / "im", "val", 1,
-                 json.dumps(dict(record, img_idx=[False] + record["img_idx"][1:])))
-    with pytest.raises(ValueError, match=r"^val.jsonl line 1: img_idx \[False, "):
+    rewrite_line(tmp_path / "im", "val", 1, json.dumps(
+        dict(record, img_idx=[False] + record["img_idx"][1:]), sort_keys=True, separators=(",", ":")))
+    with pytest.raises(ValueError, match=f"^val.jsonl line 1: {LAYOUT}$"):
         data.load_dataset(tmp_path / "im")
 
 
@@ -555,63 +558,27 @@ def save_kinds(tmp_path):
         data.save_dataset(ds, tmp_path / name)
 
 
-def load_outcome(path, line_by_line=False):
-    """Each split's groups as `load_dataset` gives them, or its error text;
-    `line_by_line` turns the array reader off."""
-    with pytest.MonkeyPatch.context() as mp:
-        if line_by_line:
-            mp.setattr(data, "_read_canonical", lambda payload: None)
-        try:
-            return {s: split.groups for s, split in data.load_dataset(path).splits.items()}
-        except ValueError as exc:
-            return str(exc)
-
-
-def assert_same_outcome(path):
-    """Load `path` with the array reader on and off; both give the same
-    groups, as C-contiguous int64 arrays, or the same error. Returns it."""
-    fast, slow = load_outcome(path), load_outcome(path, line_by_line=True)
-    if isinstance(fast, str) or isinstance(slow, str):
-        assert fast == slow
-        return fast
-    assert fast.keys() == slow.keys()
-    for split in slow:
-        assert list(fast[split]) == list(slow[split])
-        for n, group in slow[split].items():
-            for a, b in zip(fast[split][n], group):
-                assert a.dtype == b.dtype == np.int64 and a.flags.c_contiguous
-                assert np.array_equal(a, b)
-    return fast
-
-
-def canonical(text: str) -> str:
-    """`text` as the writer would lay out its JSON value, if it is JSON."""
-    try:
-        return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
-    except ValueError:
-        return text
-
-
 @st.composite
 def revalued(draw, line: str) -> str:
-    """A record line with one class, image index or label set to a small int."""
+    """A record line, in the layout, with one class, image index or label
+    set to a small int."""
     record = json.loads(line)
     key = draw(st.sampled_from(["classes", "img_idx", "label"]))
     if key == "label":
         record[key] = draw(st.integers(-2, 60))
     else:
         record[key][draw(st.integers(0, len(record[key]) - 1))] = draw(st.integers(-2, 12))
-    return json.dumps(record)
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_array_reader_agrees_with_the_line_parser(tmp_path, draw):
-    """A split file with one damaged line, its checksum recomputed, loads to
-    the same groups, or fails with the same error, with the array reader on
-    and off. The line is often laid out as the writer would, so a bad value
-    in it reaches the array reader's own checks."""
+def test_a_file_with_one_edited_line_loads_or_names_that_line(tmp_path, draw):
+    """A split file with one damaged or revalued line, its checksum
+    recomputed, either loads, writing back as the file, or raises a
+    ValueError naming that line. A revalued line is in the layout, so its
+    value reaches the bag checks."""
     if not (tmp_path / "single").exists():
         save_kinds(tmp_path)
     base = tmp_path / draw.draw(st.sampled_from(["single", "mixed", "image"]))
@@ -621,9 +588,15 @@ def test_array_reader_agrees_with_the_line_parser(tmp_path, draw):
     split = draw.draw(st.sampled_from(data.SPLITS))
     lines = (ds / f"{split}.jsonl").read_text().splitlines()
     lineno = draw.draw(st.integers(1, len(lines)))
-    text = draw.draw(st.one_of(damaged(lines[lineno - 1]), revalued(lines[lineno - 1])))
-    rewrite_line(ds, split, lineno, canonical(text) if draw.draw(st.booleans()) else text)
-    assert_same_outcome(ds)
+    rewrite_line(ds, split, lineno,
+                 draw.draw(st.one_of(damaged(lines[lineno - 1]), revalued(lines[lineno - 1]))))
+    try:
+        loaded = data.load_dataset(ds)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{split}.jsonl line {lineno}: "), exc
+    else:
+        assert data._split_lines(loaded.splits[split]).encode() == \
+            (ds / f"{split}.jsonl").read_bytes()
 
 
 def _edit_line(payload: bytes, lineno: int, edit) -> bytes:
@@ -656,43 +629,44 @@ def _zero_class(payload: bytes) -> bytes:
     return _edit_line(payload, 2, lambda _: line.replace("[0,", "[-0,").encode() + b"\n")
 
 
+# each edit of a 6-line val file, and the error it gives
 _NEAR_CANONICAL = {
-    "blank line": (lambda p: _edit_line(p, 2, lambda line: line + b"\n"), None),
-    "no trailing newline": (lambda p: p[:-1], None),
-    "CRLF": (lambda p: p.replace(b"\n", b"\r\n"), None),
-    "reordered keys": (lambda p: _edit_line(p, 2, _reordered), None),
-    "extra key": (lambda p: _edit_line(p, 2, lambda line: line[:-2] + b',"note":7}\n'), None),
-    "-0": (_zero_class, None),
-    "01": (lambda p: _with_first(p, "classes", "01"), "^val.jsonl line 2: Expecting"),
+    "blank line": (lambda p: _edit_line(p, 2, lambda line: line + b"\n"), f"line 3: {LAYOUT}"),
+    "no trailing newline": (lambda p: p[:-1], f"line 6: {LAYOUT}"),
+    "CRLF": (lambda p: p.replace(b"\n", b"\r\n"), f"line 1: {LAYOUT}"),
+    "reordered keys": (lambda p: _edit_line(p, 2, _reordered), f"line 2: {LAYOUT}"),
+    "extra key": (lambda p: _edit_line(p, 2, lambda line: line[:-2] + b',"note":7}\n'),
+                  f"line 2: {LAYOUT}"),
+    "-0": (_zero_class, f"line 2: {LAYOUT}"),
+    "01": (lambda p: _with_first(p, "classes", "01"), f"line 2: {LAYOUT}"),
     "17-digit label": (lambda p: _with_first(p, "label", "12345678901234567"),
-                       r"^val.jsonl line 2: label 12345678901234567 is not an integer "
-                       r"within \+-2\^53$"),
-    "4.0": (lambda p: _with_first(p, "label", "4.0"), "^val.jsonl line 2: label 4.0 is not"),
-    "-1.0 image index": (lambda p: _with_first(p, "img_idx", "-1.0"),
-                         r"^val.jsonl line 2: img_idx \[-1.0,"),
+                       "line 2: label 12345678901234567 is not an integer within +-2^53"),
+    "past int64 label": (lambda p: _with_first(p, "label", "-99999999999999999999"),
+                         f"line 2: {LAYOUT}"),
+    "4.0": (lambda p: _with_first(p, "label", "4.0"), f"line 2: {LAYOUT}"),
+    "-1.0 image index": (lambda p: _with_first(p, "img_idx", "-1.0"), f"line 2: {LAYOUT}"),
 }
 
 
 @pytest.mark.parametrize("name", list(_NEAR_CANONICAL))
-def test_array_reader_agrees_on_near_canonical_files(tmp_path, name):
-    """Files that differ from the written layout in one small way load, or
-    fail, as the line parser has them."""
+def test_files_near_the_layout_name_their_line(tmp_path, name):
+    """A file that differs from the written layout in one small way is
+    refused at the first line outside it; a 17-digit label is in the layout
+    but past exact float64 integers."""
     edit, why = _NEAR_CANONICAL[name]
     spec = data.DatasetSpec(task="WTri", set_size=(2, 5), counts=(20, 6, 6), seed=1)
     data.save_dataset(data.generate_dataset(spec), tmp_path)
     write_split(tmp_path, "val", edit((tmp_path / "val.jsonl").read_bytes()))
-    outcome = assert_same_outcome(tmp_path)
-    if why is None:
-        assert isinstance(outcome, dict), outcome
-    else:
-        assert re.search(why, outcome), outcome
+    with pytest.raises(ValueError, match=f"^{re.escape(f'val.jsonl {why}')}$"):
+        data.load_dataset(tmp_path)
 
 
-def test_saved_files_skip_the_line_parser(tmp_path, monkeypatch):
-    """No file `save_dataset` writes, of any kind, reaches the per-line
-    parse, and single-size symbolic generation never groups lists."""
+def test_saved_files_parse_once(tmp_path, monkeypatch):
+    """Every split file `save_dataset` writes, of any kind, loads with one
+    parse and no bisection, as C-contiguous int64 arrays, and single-size
+    symbolic generation never groups lists."""
     def refuse(*args):
-        raise AssertionError("took the per-line path")
+        raise AssertionError("grouped lists")
     pools = image_pools(tmp_path)
     generated = {}
     for name, spec in _PINNED_SPECS.items():
@@ -702,15 +676,18 @@ def test_saved_files_skip_the_line_parser(tmp_path, monkeypatch):
             generated[name] = data.generate_dataset(spec, pools=pools if spec.mode == "image"
                                                     else None)
         data.save_dataset(generated[name], tmp_path / name)
-    monkeypatch.setattr(data, "_check_records", refuse)
-    monkeypatch.setattr(data, "_grouped", refuse)
+    parses, real_read = [], data._read_canonical
+    monkeypatch.setattr(data, "_read_canonical",
+                        lambda payload: parses.append(payload) or real_read(payload))
     for name, ds in generated.items():
+        parses.clear()
         loaded = data.load_dataset(tmp_path / name)
+        assert parses == [(tmp_path / name / f"{s}.jsonl").read_bytes() for s in data.SPLITS]
         for split in data.SPLITS:
             assert loaded.splits[split].groups.keys() == ds.splits[split].groups.keys()
             for n, group in ds.splits[split].groups.items():
-                assert all(np.array_equal(a, b) for a, b in zip(loaded.splits[split].groups[n],
-                                                                 group))
+                for a, b in zip(loaded.splits[split].groups[n], group):
+                    assert a.dtype == np.int64 and a.flags.c_contiguous and np.array_equal(a, b)
 
 
 def test_image_mode_draws_from_matching_class(tmp_path):
