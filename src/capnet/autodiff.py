@@ -63,14 +63,14 @@ class Tensor:
         return self.data.item()
 
     def _accum(self, grad):
-        if self.grad is None and grad.shape == self.data.shape:
+        if self.grad is not None:
+            self.grad += grad
+        elif grad.shape == self.data.shape:
             # A copy, never the array itself: `+`, `concat` slices and
             # `_unbroadcast` hand one gradient array to several nodes.
             self.grad = np.array(grad, dtype=np.float64, order="C")
-            return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        else:
+            raise ValueError(f"gradient of shape {grad.shape} for a node of shape {self.data.shape}")
 
     def backward(self):
         """Run reverse-mode accumulation from this (scalar) node.

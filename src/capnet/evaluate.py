@@ -1,13 +1,13 @@
 """Measurement procedures over trained models.
 
 All split-level routines walk the bags through `split_batches`, batched by
-size in a fixed order. The calling thread and, on more than one CPU, one
-helper thread each run a batch's forward pass at a time; results come back
-in batch order and every sum is taken in that order, so the figures are
-bit-identical to a one-thread walk. Instance order is the stored order
-unless a routine explicitly permutes it (permutation sensitivity). Every
-routine runs on `params.detached()`, so evaluation builds no autodiff graph
-and leaves the live parameters' gradients alone.
+size in a fixed order; permutation orders are drawn on the calling thread
+before any batch starts. That thread and, on more than one CPU, a helper
+each run a batch at a time, costliest first, and build its features;
+results are reduced in batch order, so figures are bit-identical to a
+one-thread walk. Instance order is the stored order unless a routine
+explicitly permutes it (permutation sensitivity). Routines run on
+`params.detached()`: no autodiff graph, and live gradients are left alone.
 
 On image datasets a routine call embeds each distinct image its split uses
 once, into a table, and every forward pass (each permuted pass included)
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,11 +37,13 @@ def split_batches(params, ds: data.Dataset, split: str, work, rngs=(None,)):
 
     Bags are grouped by size, smallest first, and cut into batches of
     EVAL_BATCH in stored order; `rows` are the bags' positions in the split.
-    With an rng, each size group's instance orders are reshuffled first,
-    one `data.permute_instances` draw per group. Symbolic feats are the
-    instances' features; image feats are rows of one table of `models.embed`
-    of each distinct image the split uses (`params` should be detached).
-    `work` runs through `_in_order`, so it must not walk a split itself.
+    With an rng, each size group's instance orders are reshuffled first, one
+    `data.permute_instances` draw per group. All this is done on the calling
+    thread before any batch starts, and holds only index slices and permuted
+    arrays. The thread that runs a batch (`_in_order`, costliest first)
+    builds its feats: instance features, or rows of one `models.embed` table
+    of the split's distinct images (`params` should be detached). Results
+    are reduced in batch order; `work` must not walk a split itself.
     """
     bags = ds.splits[split]
     if not bags:
@@ -54,53 +55,62 @@ def split_batches(params, ds: data.Dataset, split: str, work, rngs=(None,)):
         groups = {n: (idx, classes, np.searchsorted(used, img_idx), labels)
                   for n, (idx, classes, img_idx, labels) in groups.items()}
     noise = data.split_noise(ds, split)
+    batches = []
+    for p, rng in enumerate(rngs):
+        for n, (idx, classes, img_idx, labels) in groups.items():
+            gnoise = noise[idx][:, :n, :] if noise is not None else None
+            if rng is not None:
+                classes, img_idx, gnoise = data.permute_instances(rng, classes, img_idx, gnoise)
+            for s in range(0, len(idx), EVAL_BATCH):
+                sl = slice(s, s + EVAL_BATCH)
+                batches.append((p, idx[sl], classes[sl], img_idx[sl],
+                                gnoise[sl] if gnoise is not None else None, labels[sl]))
 
-    def batches():
-        for p, rng in enumerate(rngs):
-            for n, (idx, classes, img_idx, labels) in groups.items():
-                gnoise = noise[idx][:, :n, :] if noise is not None else None
-                if rng is not None:
-                    classes, img_idx, gnoise = data.permute_instances(rng, classes, img_idx, gnoise)
-                for s in range(0, len(idx), EVAL_BATCH):
-                    sl = slice(s, s + EVAL_BATCH)
-                    if table is None:
-                        feats = data.position_features(classes[sl], img_idx[sl], ds.spec.mode,
-                                                       noise=gnoise[sl] if gnoise is not None else None)
-                    else:
-                        feats = [table[img_idx[sl, pos]] for pos in range(n)]
-                    yield p, idx[sl], classes[sl], feats, labels[sl]
+    def prepare(p, rows, classes, img_idx, gnoise, labels):
+        feats = (data.position_features(classes, img_idx, ds.spec.mode, noise=gnoise)
+                 if table is None else [table[img_idx[:, pos]] for pos in range(classes.shape[1])])
+        return lambda: (p, rows, classes, work(classes, feats, labels))
 
-    return _in_order(lambda p, rows, classes, feats, labels:
-                     (p, rows, classes, work(classes, feats, labels)), batches())
+    return _in_order(prepare, batches, lambda p, rows, classes, *_: classes.size)
 
 
-def _in_order(work, items):
-    """Yield work(*item) for each of `items`, in order. Items are drawn on
-    the calling thread. On more than one CPU, a helper thread takes an item
-    whenever it is idle and begins it before the caller runs the next, so
-    work starts in item order; an exception from either thread reaches the
-    caller, and the helper is joined before this generator ends."""
-    def begin(started, item):
-        started.set()
-        return work(*item)
+def _in_order(prepare, items, cost):
+    """Yield prepare(*item)() for each of `items`, in item order. With more
+    than one CPU and item, a helper thread, then the calling thread once the
+    helper has prepared its first, each take the costliest item left
+    (`cost(*item)`, ties in item order) when free; else the caller runs all
+    in order. Once one raises, none starts, and the helper is joined."""
+    helped = len(items) > 1 and len(os.sched_getaffinity(0)) > 1
+    waiting = iter(sorted(range(len(items)), key=lambda i: -cost(*items[i]))
+                   if helped else range(len(items)))
+    results, lock, begun = [Future() for _ in items], threading.Lock(), threading.Event()
 
-    queued = deque()  # futures, in item order
+    def run_waiting(until=None):
+        while until is None or not until.done():
+            with lock:
+                i = next(waiting, None)
+            if i is None:
+                return
+            try:
+                run = prepare(*items[i])
+                begun.set()
+                results[i].set_result(run())
+            except BaseException as exc:  # raised again on the calling thread
+                begun.set()
+                with lock:  # no item starts after this one
+                    for j in [i, *waiting]:
+                        results[j].set_exception(exc)
+
     with ThreadPoolExecutor(1) as helper:
-        # on one CPU, a future that is never done keeps every item inline
-        busy = None if len(os.sched_getaffinity(0)) > 1 else Future()
-        for item in items:
-            if busy is None or busy.done():
-                started = threading.Event()
-                busy = helper.submit(begin, started, item)
-                started.wait()
-                queued.append(busy)
-            else:
-                queued.append(Future())
-                queued[-1].set_result(work(*item))
-            while queued and queued[0].done():
-                yield queued.popleft().result()
-        for future in queued:
-            yield future.result()
+        if helped:
+            helper.submit(run_waiting)
+            begun.wait()
+        try:
+            for future in results:
+                run_waiting(until=future)
+                yield future.result()
+        finally:
+            waiting = iter(())  # the helper starts nothing more
 
 
 def _forward(params, ds: data.Dataset, feats: list) -> models.BatchOutput:

@@ -106,6 +106,15 @@ def test_first_gradients_are_private_copies():
     assert np.array_equal(x.grad, np.full((3, 2), 6.0))
 
 
+def test_a_first_gradient_of_another_shape_is_refused():
+    x = ad.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    y = x * 2.0
+    y._backprop = lambda g: x._accum(g.sum(axis=0))  # a faulty op's backprop
+    with pytest.raises(ValueError, match=r"shape \(2,\) for a node of shape \(3, 2\)"):
+        ad.reduce_sum(y).backward()
+    assert x.grad is None
+
+
 def test_activations_match_finite_differences():
     # keep inputs away from the relu/abs kinks
     x = RNG.normal(size=(3, 5))

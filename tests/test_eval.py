@@ -7,6 +7,7 @@ are known by construction.
 
 import hashlib
 import pickle
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -296,21 +297,27 @@ def test_image_eval_embeds_each_distinct_split_image_once(img_ds, monkeypatch):
 
 def test_permutation_sensitivity_orders_are_pinned(monkeypatch):
     """The instance orders of the k passes, as bytes of the features fed to
-    the model, are fixed by (seed, pass); this digest pins them."""
+    the model, are fixed by (seed, pass); this digest pins them. It is
+    taken on one CPU, where batches start in batch order; with the helper
+    the same batches are fed, costliest first."""
     ds = data.generate_dataset(data.DatasetSpec(
         task="WTri", set_size=(2, 5), counts=(120, 30, 30), seed=11, noise=0.1))
-    digest = hashlib.sha256()
+    fed = []
 
     def fake(params, feats):
-        for x in feats:
-            digest.update(np.ascontiguousarray(x).tobytes())
+        fed.append(b"".join(np.ascontiguousarray(x).tobytes() for x in feats))
         return SimpleNamespace(prediction=SimpleNamespace(data=np.zeros(len(feats[0]))),
                                intermediates=[])
     monkeypatch.setattr(models, "batch_forward", fake)
+    helped = evaluate.permutation_sensitivity(small("gru"), ds, "val", k=3, seed=4)
+    with_helper = sorted(fed)
+    fed.clear()
+    one_cpu(monkeypatch)
     res = evaluate.permutation_sensitivity(small("gru"), ds, "val", k=3, seed=4)
-    assert res["mse"] == [440.0, 440.0, 440.0]
-    assert digest.hexdigest() == \
+    assert res["mse"] == [440.0, 440.0, 440.0] and helped == res
+    assert hashlib.sha256(b"".join(fed)).hexdigest() == \
         "4876dc887ee50e5945b7cafbafe5013b0871aae20b43a36bf965a808f6031bfc"
+    assert sorted(fed) == with_helper
 
 
 def test_permutation_sensitivity_groups_the_split_once(us_ds, monkeypatch):
@@ -571,13 +578,102 @@ def test_the_helper_thread_changes_no_bit_of_any_figure(monkeypatch, mode):
     assert pickle.loads(inline["mse_and_penalty"])[1] > 0
 
 
+def symbolic_batches(ds, split):
+    """Feature bytes of each `split_batches` batch of a noise-free symbolic
+    split and its cost (rows x set size), in batch order."""
+    out = []
+    for rows, classes, img_idx, _ in data.group_by_size(ds.splits[split]).values():
+        for s in range(0, len(rows), evaluate.EVAL_BATCH):
+            sl = slice(s, s + evaluate.EVAL_BATCH)
+            feats = data.position_features(classes[sl], img_idx[sl], "symbolic")
+            out.append((b"".join(x.tobytes() for x in feats), classes[sl].size))
+    return out
+
+
+def record_starts(monkeypatch, barrier=None) -> list:
+    """Wrap models.batch_forward; returns the feature bytes of each call in
+    the order the calls begin. With a barrier, the first two calls wait
+    there, so both threads have begun their first batch before either
+    can take a third."""
+    started, lock = [], threading.Lock()
+    real = models.batch_forward
+
+    def recording(params, feats, **kwargs):
+        with lock:
+            started.append(b"".join(x.tobytes() for x in feats))
+            first_two = len(started) <= 2
+        if barrier is not None and first_two:
+            barrier.wait(timeout=10)
+        return real(params, feats, **kwargs)
+    monkeypatch.setattr(models, "batch_forward", recording)
+    return started
+
+
+def test_the_two_threads_start_the_costliest_batches_first(monkeypatch):
+    """Sizes 2, 3 and 5 in batches of 7. The val split's costliest batch is
+    its full size-5 one; next come two full size-3 batches at equal cost,
+    both above the size-5 remainder. So the size-5 batch and the first
+    size-3 batch start first. On one CPU every batch starts in batch
+    order."""
+    ds = data.generate_dataset(data.DatasetSpec(
+        task="WTri", set_size=(2, 3, 5), counts=(30, 40, 30), seed=3))
+    monkeypatch.setattr(evaluate, "EVAL_BATCH", 7)
+    batches = symbolic_batches(ds, "val")
+    assert [cost for _, cost in batches] == [14, 14, 21, 21, 9, 35, 10]
+
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0, 1})
+    started = record_starts(monkeypatch, threading.Barrier(2))
+    evaluate.evaluate_mse(small("gru"), ds, "val")
+    assert sorted(started) == sorted(key for key, _ in batches)
+    assert set(started[:2]) == {batches[5][0], batches[2][0]}
+
+    monkeypatch.undo()
+    monkeypatch.setattr(evaluate, "EVAL_BATCH", 7)
+    one_cpu(monkeypatch)
+    started = record_starts(monkeypatch)
+    evaluate.evaluate_mse(small("gru"), ds, "val")
+    assert started == [key for key, _ in batches]
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 8])
-def test_in_order_yields_results_in_item_order(count):
+def test_in_order_yields_results_in_item_order(monkeypatch, count):
+    """Later items cost more and start first: the helper takes the last
+    item and holds it until a later-started one has finished. Results still
+    come in item order."""
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0, 1})
+    threads, finished = {}, []
+    one_finished = threading.Event()
+
     def work(i):
-        time.sleep(0.002 * (i % 3))  # a later item can finish first
+        threads[i] = threading.get_ident()
+        if i == count - 1 and count > 1:
+            assert one_finished.wait(timeout=10)
+        finished.append(i)
+        one_finished.set()
         return i * i
-    got = list(evaluate._in_order(work, ((i,) for i in range(count))))
+    got = list(evaluate._in_order(lambda i: lambda: work(i), [(i,) for i in range(count)],
+                                  lambda i: i))
     assert got == [i * i for i in range(count)]
+    assert sorted(finished) == list(range(count))
+    if count > 1:
+        assert threads[count - 1] != threading.get_ident() and finished[0] != count - 1
+
+
+def test_in_order_runs_every_item_once_under_fast_thread_switching(monkeypatch):
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0, 1})
+    ran = []
+
+    def work(i):
+        ran.append(i)
+        return -i
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = list(evaluate._in_order(lambda i: lambda: work(i), [(i,) for i in range(3000)],
+                                      lambda i: i % 7))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [-i for i in range(3000)] and sorted(ran) == list(range(3000))
 
 
 class Boom(Exception):
@@ -586,8 +682,9 @@ class Boom(Exception):
 
 @pytest.mark.parametrize("where", ["helper", "caller"])
 def test_a_batch_exception_reaches_the_caller_with_its_type(us_ds, monkeypatch, where):
-    """The helper takes the first batch; while it sleeps on that batch the
-    calling thread takes the next."""
+    """The helper takes the costliest batch and the calling thread the next
+    costliest; a batch run by `where` raises, while the other thread's
+    batches sleep."""
     monkeypatch.setattr(evaluate, "EVAL_BATCH", 7)
     real = models.batch_forward
     main = threading.get_ident()
@@ -602,6 +699,35 @@ def test_a_batch_exception_reaches_the_caller_with_its_type(us_ds, monkeypatch, 
     with pytest.raises(Boom, match=where):
         evaluate.evaluate_mse(small("gru"), us_ds, "val")
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_no_batch_starts_after_a_failure(us_ds, monkeypatch, where):
+    """Both threads begin a batch; then the one run by `where` raises while
+    the other's is still in work. That batch finishes, and neither thread
+    starts another of the nine."""
+    monkeypatch.setattr(evaluate, "EVAL_BATCH", 7)
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0, 1})
+    real = models.batch_forward
+    main = threading.get_ident()
+    both_begun, failed = threading.Barrier(2), threading.Event()
+    starts_after_failure = []
+
+    def forward(params, feats, **kwargs):
+        starts_after_failure.append(failed.is_set())
+        if len(starts_after_failure) <= 2:
+            both_begun.wait(timeout=10)
+        if (threading.get_ident() == main) == (where == "caller"):
+            failed.set()
+            raise Boom(where)
+        time.sleep(0.05)
+        return real(params, feats, **kwargs)
+    monkeypatch.setattr(models, "batch_forward", forward)
+    before = set(threading.enumerate())
+    with pytest.raises(Boom, match=where):
+        evaluate.evaluate_mse(small("gru"), us_ds, "val")
+    assert set(threading.enumerate()) == before
+    assert starts_after_failure == [False, False]
 
 
 def test_one_cpu_starts_no_thread(us_ds, monkeypatch):
