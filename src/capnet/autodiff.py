@@ -317,10 +317,11 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 # -- parameters and optimizer ---------------------------------------------
 
 class ParamStore:
-    """Named parameter tensors; the set is fixed once the model is built."""
+    """Named parameter tensors; the set is fixed once the model is built.
+    `spec` is the model spec the store is built for (None for a bare store)."""
 
-    def __init__(self, seed: int):
-        self.seed = int(seed)
+    def __init__(self, spec=None):
+        self.spec = spec
         self._params: dict[str, Tensor] = {}
         self._frozen = False
 

@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import threading
 from dataclasses import replace
 
 from . import __version__, data, evaluate, fileio, models, train
@@ -66,9 +67,6 @@ def _run_config(path, seed_override=None) -> train.RunConfig:
     cfg = train.RunConfig.from_json(_load_json(path), path)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
-    if cfg.reg_lambda > 0 and not cfg.model.capacity:
-        raise UsageError("reg_lambda > 0 requires a capacity model; "
-                         "baselines have no intermediate values to penalize")
     dataset_dir = data.resolve_path(cfg.dataset)
     if not os.path.exists(os.path.join(dataset_dir, "manifest.json")):
         raise UsageError(f"dataset not found at {dataset_dir}")
@@ -174,7 +172,7 @@ _SWEEP_SCHEMA = {
     "dataset": fileio.STR, "families": fileio.STRS, "seeds": fileio.INTS,
     "train_sizes": fileio.optional(fileio.INTS),
     "train": fileio.optional(fileio.obj({k: v for k, v in train.RUN_SCHEMA.items()
-                                         if k not in ("dataset", "model")})),
+                                         if k not in ("dataset", "model", "seed")})),
     "model": fileio.optional(fileio.obj({k: v for k, v in models.MODEL_SCHEMA.items()
                                          if k not in ("family", "capacity")})),
 }
@@ -202,22 +200,24 @@ def cmd_sweep(args) -> int:
         else:
             ds = replace(full, splits={**full.splits, "train": full.splits["train"].head(size)})
         for label in config["families"]:
-            spec = _family_spec(label, base_model)
-            lam = base_train.get("reg_lambda", 0.0)
-            if lam > 0 and not spec.capacity:
-                raise UsageError("reg_lambda > 0 requires capacity models in the sweep")
-            cfg = train.RunConfig(dataset=config["dataset"], model=spec, **base_train)
+            cfg = train.RunConfig(dataset=config["dataset"], model=_family_spec(label, base_model),
+                                  **base_train)
             cells.append({"label": label.lower(), "size": size or len(full.splits["train"]),
                           "config": cfg, "dataset": ds})
 
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        results = [train.multi_seed(c["config"], seeds, dataset=c["dataset"]) for c in cells]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(train.multi_seed, c["config"], seeds, dataset=c["dataset"])
-                       for c in cells]
-            results = [f.result() for f in futures]
+    failed = threading.Event()
+
+    def run(cell):  # once a cell has failed, no other starts
+        if failed.is_set():
+            return None
+        try:
+            return train.multi_seed(cell["config"], seeds, dataset=cell["dataset"])
+        except BaseException:
+            failed.set()
+            raise
+
+    with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
+        results = list(pool.map(run, cells))
 
     os.makedirs(args.out, exist_ok=True)
     header = ["family", "train_size", "seeds",

@@ -651,6 +651,28 @@ def permute_instances(rng, classes: np.ndarray, img_idx: np.ndarray, noise: np.n
     return classes, img_idx, noise
 
 
+def batches(groups: dict, noise: np.ndarray, size: int, order=None, permute=None) -> list:
+    """Cut `group_by_size` groups into (rows, classes, img_idx, noise,
+    labels) batches of up to `size` bags, group by group in the groups'
+    ascending size order; `noise` is the split's [bags, n_max, 10] array or
+    None. With an rng `order`, a group's bags are shuffled first (one
+    `permutation`); with an rng `permute`, their instance orders are
+    reshuffled next (one `permute_instances` draw per group)."""
+    out = []
+    for n, (rows, classes, img_idx, labels) in groups.items():
+        if order is not None:
+            shuffled = order.permutation(len(rows))
+            rows, classes, img_idx, labels = (a[shuffled] for a in (rows, classes, img_idx, labels))
+        gnoise = noise[rows][:, :n, :] if noise is not None else None
+        if permute is not None:
+            classes, img_idx, gnoise = permute_instances(permute, classes, img_idx, gnoise)
+        for s in range(0, len(rows), size):
+            sl = slice(s, s + size)
+            out.append((rows[sl], classes[sl], img_idx[sl],
+                        gnoise[sl] if gnoise is not None else None, labels[sl]))
+    return out
+
+
 _EYE = np.eye(oracle.NUM_CLASSES)
 
 

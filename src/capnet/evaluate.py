@@ -35,15 +35,16 @@ def split_batches(params, ds: data.Dataset, split: str, work, rngs=(None,)):
     """Yield (pass, rows, classes, work(classes, feats, labels)) for every
     evaluation batch of `split`, once per entry of `rngs`, in batch order.
 
-    Bags are grouped by size, smallest first, and cut into batches of
-    EVAL_BATCH in stored order; `rows` are the bags' positions in the split.
-    With an rng, each size group's instance orders are reshuffled first, one
-    `data.permute_instances` draw per group. All this is done on the calling
-    thread before any batch starts, and holds only index slices and permuted
-    arrays. The thread that runs a batch (`_in_order`, costliest first)
-    builds its feats: instance features, or rows of one `models.embed` table
-    of the split's distinct images (`params` should be detached). Results
-    are reduced in batch order; `work` must not walk a split itself.
+    The batches are `data.batches` of EVAL_BATCH bags in stored order, with
+    `rows` the bags' positions in the split; with an rng, each size group's
+    instance orders are reshuffled first. All passes are laid out on the
+    calling thread before any batch starts, and hold only index slices and
+    permuted arrays; on image datasets the image indices are rows of one
+    `models.embed` table of the split's distinct images. The thread that
+    runs a batch (`_in_order`, costliest first) builds its feats in
+    `prepare`: instance features, or the table's rows (`params` should be
+    detached). Results are reduced in batch order; `work` must not walk a
+    split itself.
     """
     bags = ds.splits[split]
     if not bags:
@@ -55,16 +56,8 @@ def split_batches(params, ds: data.Dataset, split: str, work, rngs=(None,)):
         groups = {n: (idx, classes, np.searchsorted(used, img_idx), labels)
                   for n, (idx, classes, img_idx, labels) in groups.items()}
     noise = data.split_noise(ds, split)
-    batches = []
-    for p, rng in enumerate(rngs):
-        for n, (idx, classes, img_idx, labels) in groups.items():
-            gnoise = noise[idx][:, :n, :] if noise is not None else None
-            if rng is not None:
-                classes, img_idx, gnoise = data.permute_instances(rng, classes, img_idx, gnoise)
-            for s in range(0, len(idx), EVAL_BATCH):
-                sl = slice(s, s + EVAL_BATCH)
-                batches.append((p, idx[sl], classes[sl], img_idx[sl],
-                                gnoise[sl] if gnoise is not None else None, labels[sl]))
+    batches = [(p, *batch) for p, rng in enumerate(rngs)
+               for batch in data.batches(groups, noise, EVAL_BATCH, permute=rng)]
 
     def prepare(p, rows, classes, img_idx, gnoise, labels):
         feats = (data.position_features(classes, img_idx, ds.spec.mode, noise=gnoise)

@@ -21,7 +21,7 @@ of per-position [batch, features] matrices; one bag is a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,12 +60,7 @@ class ModelSpec:
         return self.family
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family, "capacity": self.capacity, "use_abs": self.use_abs,
-            "input_dim": self.input_dim, "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim, "enc_layers": self.enc_layers,
-            "dec_layers": self.dec_layers,
-        }
+        return asdict(self)
 
 
 # a model spec's JSON fields, as run configs and checkpoint.json hold them
@@ -90,7 +85,7 @@ def init_model(spec: ModelSpec, seed: int) -> ad.ParamStore:
     and their initial values drawn from a single stream in that order.
     """
     rng = np.random.default_rng(seed)
-    store = ad.ParamStore(seed)
+    store = ad.ParamStore(spec)
     d = spec.hidden_dim
 
     _add_linear(store, rng, "embed", spec.input_dim, spec.embed_dim)
@@ -118,7 +113,6 @@ def init_model(spec: ModelSpec, seed: int) -> ad.ParamStore:
         _add_linear(store, rng, f"dec/{i}", d, out)
 
     store.freeze()
-    store.spec = spec
     return store
 
 
@@ -184,7 +178,10 @@ def batch_forward(params: ad.ParamStore, feats: list, embedded: bool = False) ->
     """Run a batch of same-size bags given per-position feature matrices.
 
     With `embedded`, each matrix is already through `embed` ([batch,
-    embed_dim]) and the network runs from its second layer on.
+    embed_dim]) and the network runs from its second layer on. A sequential
+    family runs one loop over the positions: step the cell, keep the
+    latent, and for a capacity model decode the state and add its value;
+    a baseline decodes the last state once, after the loop.
     """
     spec = params.spec
     if not feats:
@@ -222,25 +219,19 @@ def batch_forward(params: ad.ParamStore, feats: list, embedded: bool = False) ->
     d = spec.hidden_dim
     h = ad.Tensor(np.zeros((batch, d)))
     c = ad.Tensor(np.zeros((batch, d))) if spec.family == "lstm" else None
-    latents = []
-    if spec.capacity:
-        nus = []
-        pred = None
-        for x in xs:
-            h, c = _cell_step(params, spec.family, h, c, x)
-            latents.append(h.data)
+    latents, nus, pred = [], [], None
+    for x in xs:
+        h, c = _cell_step(params, spec.family, h, c, x)
+        latents.append(h.data)
+        if spec.capacity:
             v = _as_batch_col(_mlp(params, "dec", spec.dec_layers, h))
             if spec.use_abs:
                 v = ad.absolute(v)
             nus.append(v)
             pred = v if pred is None else pred + v
-        return BatchOutput(pred, nus, latents)
-
-    for x in xs:
-        h, c = _cell_step(params, spec.family, h, c, x)
-        latents.append(h.data)
-    pred = _as_batch_col(_mlp(params, "dec", spec.dec_layers, h))
-    return BatchOutput(pred, [], latents)
+    if not spec.capacity:
+        pred = _as_batch_col(_mlp(params, "dec", spec.dec_layers, h))
+    return BatchOutput(pred, nus, latents)
 
 
 def decode_state(params: ad.ParamStore, h: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -37,17 +37,16 @@ class RunConfig:
     def __post_init__(self):
         if self.reg_lambda < 0:
             raise ValueError("reg_lambda must be >= 0")
+        if self.reg_lambda > 0 and not self.model.capacity:
+            raise ValueError("reg_lambda > 0 requires a capacity model; "
+                             "baselines have no intermediate values to penalize")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
 
     def to_json(self) -> dict:
         """The config as JSON, float fields as floats: `lr` 1 and 1.0 hash alike."""
-        return {
-            "dataset": self.dataset, "model": self.model.to_json(), "lr": float(self.lr),
-            "batch_size": self.batch_size, "epochs": self.epochs, "seed": self.seed,
-            "reg_lambda": float(self.reg_lambda), "reg_threshold": float(self.reg_threshold),
-            "shuffle_instances_per_epoch": self.shuffle_instances_per_epoch,
-        }
+        return {**asdict(self), **{name: float(getattr(self, name))
+                                   for name in ("lr", "reg_lambda", "reg_threshold")}}
 
     @classmethod
     def from_json(cls, obj, where: str = "run config") -> "RunConfig":
@@ -98,24 +97,13 @@ def batch_loss(params, feats, labels: np.ndarray, reg_lambda: float, reg_thresho
 
 
 def _epoch_batches(groups: dict, noise: np.ndarray, config: RunConfig, epoch: int) -> list:
-    """Assemble this epoch's mini-batches: shuffled bag order, freshly
-    permuted instance order per bag, same-size bags per batch."""
+    """This epoch's `data.batches`, in shuffled order: one rng seeded by
+    (seed, epoch) shuffles each size group's bags, reshuffles their
+    instance orders (with `shuffle_instances_per_epoch`), then the batches."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 7, epoch)))
-    batches = []
-    for n, (idx, classes, img_idx, labels) in groups.items():
-        order = rng.permutation(len(idx))
-        classes_e = classes[order]
-        img_e = img_idx[order]
-        labels_e = labels[order]
-        noise_e = noise[idx[order]][:, :n, :] if noise is not None else None
-        if config.shuffle_instances_per_epoch and n > 1:
-            classes_e, img_e, noise_e = data.permute_instances(rng, classes_e, img_e, noise_e)
-        for s in range(0, len(idx), config.batch_size):
-            sl = slice(s, s + config.batch_size)
-            batches.append((classes_e[sl], img_e[sl], labels_e[sl],
-                            noise_e[sl] if noise_e is not None else None))
-    order = rng.permutation(len(batches))
-    return [batches[i] for i in order]
+    batches = data.batches(groups, noise, config.batch_size, order=rng,
+                           permute=rng if config.shuffle_instances_per_epoch else None)
+    return [batches[i] for i in rng.permutation(len(batches))]
 
 
 @dataclass
@@ -156,7 +144,7 @@ def train_run(config: RunConfig, out_dir=None, dataset: data.Dataset = None) -> 
         mse_sum = 0.0
         pen_sum = 0.0
         seen = 0
-        for batch_id, (classes, img_idx, labels, bnoise) in enumerate(
+        for batch_id, (_, classes, img_idx, bnoise, labels) in enumerate(
                 _epoch_batches(groups, noise, config, epoch)):
             feats = data.position_features(classes, img_idx, ds.spec.mode, pool, bnoise)
             loss, mse, pen = batch_loss(params, feats, labels, lam, tau)

@@ -199,7 +199,7 @@ def test_constant_graph_skips_gradient_tracking():
 
 
 def test_param_store_paths_and_freeze():
-    store = ad.ParamStore(seed=0)
+    store = ad.ParamStore()
     store.add("b/x", np.zeros(2))
     store.add("a/y", np.zeros((2, 2)))
     assert store.paths() == ["a/y", "b/x"]
@@ -212,7 +212,7 @@ def test_param_store_paths_and_freeze():
 
 
 def test_detached_view_shares_arrays_and_records_no_graph():
-    store = ad.ParamStore(seed=0)
+    store = ad.ParamStore()
     w = store.add("w", np.array([[1.0, -2.0], [0.5, 3.0]]))
     store.freeze()
     view = store.detached()
@@ -233,7 +233,7 @@ def test_detached_view_shares_arrays_and_records_no_graph():
 
 
 def test_state_dict_round_trip_and_mismatches():
-    store = ad.ParamStore(seed=0)
+    store = ad.ParamStore()
     t = store.add("w", np.arange(6.0).reshape(2, 3))
     state = store.state_dict()
     state["w"] += 1  # copies, not views
@@ -248,7 +248,7 @@ def test_state_dict_round_trip_and_mismatches():
 
 def test_adam_first_step_has_learning_rate_magnitude():
     # with constant gradient g, bias correction makes step one ~= lr * sign(g)
-    store = ad.ParamStore(seed=0)
+    store = ad.ParamStore()
     theta = store.add("theta", np.zeros(1))
     opt = ad.Adam(store, lr=0.001)
     theta.grad = np.array([0.5])
@@ -258,7 +258,7 @@ def test_adam_first_step_has_learning_rate_magnitude():
 
 def test_adam_requires_gradients_and_is_deterministic():
     def run():
-        store = ad.ParamStore(seed=0)
+        store = ad.ParamStore()
         store.add("w", np.ones(3))
         opt = ad.Adam(store, lr=0.01)
         rng = np.random.default_rng(4)
@@ -270,14 +270,14 @@ def test_adam_requires_gradients_and_is_deterministic():
     a, b = run(), run()
     assert np.array_equal(a, b)
 
-    store = ad.ParamStore(seed=0)
+    store = ad.ParamStore()
     store.add("w", np.ones(3))
     with pytest.raises(ValueError):
         ad.Adam(store).step()
 
 
 def test_adam_converges_on_quadratic():
-    store = ad.ParamStore(seed=0)
+    store = ad.ParamStore()
     w = store.add("w", np.array([5.0, -3.0]))
     opt = ad.Adam(store, lr=0.05)
     for _ in range(600):

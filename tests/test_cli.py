@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -777,6 +779,33 @@ def test_sweep_jobs_parallel_identical(tmp_path, mode):
         assert f1.read() == f2.read()
 
 
+def test_sweep_rejects_penalty_on_a_baseline_family(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, dataset_dir(tmp_path), train={"batch_size": 50, "epochs": 1,
+                                                               "reg_lambda": 0.5})
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "capacity" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_sweep_cell_starts_no_other(tmp_path, monkeypatch, capsys, jobs):
+    """Every cell fails once all `jobs` running cells have started and the
+    caller waits on them; the queued third cell never starts."""
+    started, running = [], threading.Barrier(jobs, timeout=10)
+
+    def multi_seed(config, seeds, out_dir=None, dataset=None):
+        started.append(config.model.label)
+        running.wait()
+        time.sleep(0.05)
+        raise train.TrainingDiverged("non-finite loss at epoch 1 batch 0")
+    monkeypatch.setattr(train, "multi_seed", multi_seed)
+    cfg = sweep_config(tmp_path, dataset_dir(tmp_path), families=["gru", "c-gru", "deepset"])
+    out = str(tmp_path / "o")
+    assert cli.main(["sweep", "--config", cfg, "--out", out, "--jobs", str(jobs)]) == 3
+    assert sorted(started) == sorted(["gru", "c-gru"][:jobs])
+    assert "non-finite loss" in capsys.readouterr().err
+
+
 def test_sweep_train_sizes(tmp_path):
     ds = dataset_dir(tmp_path)
     cfg = sweep_config(tmp_path, ds, train_sizes=[100, 200], families=["deepset"])
@@ -825,6 +854,7 @@ def test_sweep_config_validation(tmp_path, capsys):
     ("sweep", {"train": {"lr": "0.1"}},
      "sweep.json field 'train.lr' is '0.1', expected a finite number"),
     ("sweep", {"train": {"dataset": "x"}}, "sweep.json has unknown field 'train.dataset'"),
+    ("sweep", {"train": {"seed": 5}}, "sweep.json has unknown field 'train.seed'"),
     ("sweep", {"model": {"hidden_dim": "4"}},
      "sweep.json field 'model.hidden_dim' is '4', expected an int"),
     ("sweep", {"model": {"family": "gru"}}, "sweep.json has unknown field 'model.family'"),

@@ -114,6 +114,19 @@ def test_capacity_baseline_parameter_parity():
         assert pb.paths() == pc.paths()
 
 
+def test_capacity_and_baseline_run_the_same_cell():
+    """A C-GRU and a GRU from one seed step through bit-identical latents,
+    and the GRU's prediction is the decoder applied to its last one."""
+    feats = list(np.random.default_rng(3).normal(size=(4, 7, 6)))
+    cap = models.batch_forward(init_model(small_spec("gru", capacity=True), 5), feats)
+    base_params = init_model(small_spec("gru"), 5)
+    base = models.batch_forward(base_params, feats)
+    assert len(base.latents) == len(cap.latents) == 4
+    for a, b in zip(base.latents, cap.latents):
+        assert np.array_equal(a, b)
+    assert np.array_equal(base.prediction.data, models.decode_state(base_params, base.latents[-1]))
+
+
 def test_lstm_gru_gap_is_one_gate_block():
     lstm = init_model(small_spec("lstm"), 0).param_count()
     gru = init_model(small_spec("gru"), 0).param_count()

@@ -115,12 +115,14 @@ def test_batch_size_cannot_exceed_train_split():
 
 
 def test_config_validation_and_json_round_trip():
-    cfg = tiny_config(reg_lambda=0.5, epochs=7)
+    cfg = tiny_config(family="gru", capacity=True, reg_lambda=0.5, epochs=7)
     again = train.RunConfig.from_json(cfg.to_json())
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
     with pytest.raises(ValueError):
         tiny_config(reg_lambda=-1.0)
+    with pytest.raises(ValueError, match="requires a capacity model"):
+        train.RunConfig(dataset="mem", model=models.ModelSpec("gru"), reg_lambda=0.5)
     assert tiny_config(seed=1).config_hash() != cfg.config_hash()
 
 
@@ -140,8 +142,8 @@ def test_instance_shuffling_flag_changes_batches_only_when_sizes_allow():
     cfg_off = tiny_config(shuffle_instances_per_epoch=False)
     on = train._epoch_batches(groups, None, cfg_on, epoch=1)
     off = train._epoch_batches(groups, None, cfg_off, epoch=1)
-    flat_on = np.concatenate([b[0] for b in on])
-    flat_off = np.concatenate([b[0] for b in off])
+    flat_on = np.concatenate([b[1] for b in on])
+    flat_off = np.concatenate([b[1] for b in off])
     # same bags, different within-bag order for at least one bag
     assert np.array_equal(np.sort(flat_on, axis=1), np.sort(flat_off, axis=1)) is False \
         or not np.array_equal(flat_on, flat_off)
@@ -149,6 +151,21 @@ def test_instance_shuffling_flag_changes_batches_only_when_sizes_allow():
     ref = {tuple(sorted(row)) for row in flat_on.tolist()}
     other = {tuple(sorted(row)) for row in flat_off.tolist()}
     assert ref == other
+
+
+def test_single_instance_bags_batch_alike_with_instance_shuffling_on_and_off():
+    """Reshuffling one instance draws nothing from the epoch's rng, so bag
+    and batch order do not depend on the flag."""
+    ds = tiny_dataset(n=1, counts=(100, 20, 20), noise=0.1)
+    groups = data.group_by_size(ds.splits["train"])
+    noise = data.split_noise(ds, "train")
+    on, off = (train._epoch_batches(groups, noise, tiny_config(batch_size=30,
+                                                               shuffle_instances_per_epoch=flag), 1)
+               for flag in (True, False))
+    assert len(on) == len(off) == 4
+    for a, b in zip(on, off):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_epoch_batches_are_pinned():
@@ -159,7 +176,7 @@ def test_epoch_batches_are_pinned():
     digest = hashlib.sha256()
     for batch in train._epoch_batches(data.group_by_size(ds.splits["train"]),
                                       data.split_noise(ds, "train"), cfg, 2):
-        classes, img_idx, labels, noise = batch
+        _, classes, img_idx, noise, labels = batch
         # labels are hashed as the float64 values they were when this was pinned
         for arr in (classes, img_idx, labels.astype(np.float64), noise):
             digest.update(np.ascontiguousarray(arr).tobytes())
