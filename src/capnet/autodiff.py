@@ -1,12 +1,13 @@
 """Dense-tensor reverse-mode automatic differentiation.
 
-Small numpy-backed engine: every operation builds a graph node holding a
-closure that propagates adjoints to its inputs. `Tensor.backward()` runs a
-topological sweep over that graph's interior nodes. Everything is float64;
-graphs are rebuilt per forward pass, so variable bag sizes are
-unproblematic. Operations whose inputs all track no gradient keep no parents
-and no closure, so a forward pass over `ParamStore.detached()` builds no
-graph at all.
+Small numpy-backed engine: each operation hands `Tensor` its value, its
+parents and a closure that propagates the node's adjoint to them, and
+`Tensor` keeps neither parents nor closure when no input tracks a gradient;
+that constructor call is the one place a node is built, so a forward pass
+over `ParamStore.detached()` builds no graph at all. `Tensor.backward()`
+runs a topological sweep over the graph's interior nodes. Everything is
+float64; graphs are rebuilt per forward pass, so variable bag sizes are
+unproblematic.
 
 `linear` (x @ w + b) is one node, not a product node and a sum node. A
 node's first gradient is stored as a float64 copy of the array it is handed,
@@ -115,58 +116,40 @@ class Tensor:
 
     def __add__(self, other):
         if isinstance(other, Tensor):
-            out = Tensor(self.data + other.data, _parents=(self, other))
             def backprop(g):
                 if self.requires_grad:
                     self._accum(_unbroadcast(g, self.data.shape))
                 if other.requires_grad:
                     other._accum(_unbroadcast(g, other.data.shape))
-        else:
-            out = Tensor(self.data + other, _parents=(self,))
-            def backprop(g):
-                self._accum(g)
-        out._backprop = backprop if out.requires_grad else None
-        return out
+            return Tensor(self.data + other.data, _parents=(self, other), _backprop=backprop)
+        def backprop(g):
+            self._accum(g)
+        return Tensor(self.data + other, _parents=(self,), _backprop=backprop)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            out = Tensor(self.data - other.data, _parents=(self, other))
-            def backprop(g):
-                if self.requires_grad:
-                    self._accum(_unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    other._accum(_unbroadcast(-g, other.data.shape))
-        else:
-            out = Tensor(self.data - other, _parents=(self,))
-            def backprop(g):
-                self._accum(g)
-        out._backprop = backprop if out.requires_grad else None
-        return out
+        # x - y is x + (-y) bit for bit (IEEE 754), so a number operand
+        # still makes one node
+        return self + other * -1.0
 
     def __rsub__(self, other):
         # other is a plain number: out = other - self
-        out = Tensor(other - self.data, _parents=(self,))
         def backprop(g):
             self._accum(-g)
-        out._backprop = backprop if out.requires_grad else None
-        return out
+        return Tensor(other - self.data, _parents=(self,), _backprop=backprop)
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
-            out = Tensor(self.data * other.data, _parents=(self, other))
             def backprop(g):
                 if self.requires_grad:
                     self._accum(_unbroadcast(g * other.data, self.data.shape))
                 if other.requires_grad:
                     other._accum(_unbroadcast(g * self.data, other.data.shape))
-        else:
-            out = Tensor(self.data * other, _parents=(self,))
-            def backprop(g):
-                self._accum(g * other)
-        out._backprop = backprop if out.requires_grad else None
-        return out
+            return Tensor(self.data * other.data, _parents=(self, other), _backprop=backprop)
+        def backprop(g):
+            self._accum(g * other)
+        return Tensor(self.data * other, _parents=(self,), _backprop=backprop)
 
     __rmul__ = __mul__
 
@@ -186,7 +169,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"linear: bias shape {b.data.shape} != ({w.data.shape[1]},)")
     y = x.data @ w.data
     y += b.data
-    out = Tensor(y, _parents=(x, w, b))
     def backprop(g):
         if x.requires_grad:
             x._accum(g @ w.data.T)
@@ -194,53 +176,34 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             w._accum(x.data.T @ g)
         if b.requires_grad:
             b._accum(g.sum(axis=0))
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return Tensor(y, _parents=(x, w, b), _backprop=backprop)
 
 
-_ACTIVATIONS = ("tanh", "sigmoid", "relu", "abs")
+def tanh(x: Tensor) -> Tensor:
+    y = np.tanh(x.data)
+    def backprop(g):
+        x._accum(g * (1.0 - y * y))
+    return Tensor(y, _parents=(x,), _backprop=backprop)
 
 
-def activation(kind: str, x: Tensor) -> Tensor:
-    """Elementwise nonlinearity; `abs` uses subgradient 0 at the kink."""
-    if kind == "tanh":
-        y = np.tanh(x.data)
-        out = Tensor(y, _parents=(x,))
-        def backprop(g):
-            x._accum(g * (1.0 - y * y))
-    elif kind == "sigmoid":
-        y = 1.0 / (1.0 + np.exp(-x.data))
-        out = Tensor(y, _parents=(x,))
-        def backprop(g):
-            x._accum(g * y * (1.0 - y))
-    elif kind == "relu":
-        out = Tensor(np.maximum(x.data, 0.0), _parents=(x,))
-        def backprop(g):
-            x._accum(g * (x.data > 0.0))
-    elif kind == "abs":
-        out = Tensor(np.abs(x.data), _parents=(x,))
-        def backprop(g):
-            x._accum(g * np.sign(x.data))
-    else:
-        raise ValueError(f"unknown activation kind {kind!r}; expected one of {_ACTIVATIONS}")
-    out._backprop = backprop if out.requires_grad else None
-    return out
+def sigmoid(x: Tensor) -> Tensor:
+    y = 1.0 / (1.0 + np.exp(-x.data))
+    def backprop(g):
+        x._accum(g * y * (1.0 - y))
+    return Tensor(y, _parents=(x,), _backprop=backprop)
 
 
-def tanh(x):
-    return activation("tanh", x)
+def relu(x: Tensor) -> Tensor:
+    def backprop(g):
+        x._accum(g * (x.data > 0.0))
+    return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _backprop=backprop)
 
 
-def sigmoid(x):
-    return activation("sigmoid", x)
-
-
-def relu(x):
-    return activation("relu", x)
-
-
-def absolute(x):
-    return activation("abs", x)
+def absolute(x: Tensor) -> Tensor:
+    """Elementwise |x|, with subgradient 0 at the kink."""
+    def backprop(g):
+        x._accum(g * np.sign(x.data))
+    return Tensor(np.abs(x.data), _parents=(x,), _backprop=backprop)
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -248,37 +211,31 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
         raise ValueError(f"concat batch mismatch: {a.data.shape} vs {b.data.shape}")
     na = a.data.shape[1]
-    out = Tensor(np.concatenate([a.data, b.data], axis=1), _parents=(a, b))
     def backprop(g):
         if a.requires_grad:
             a._accum(g[:, :na])
         if b.requires_grad:
             b._accum(g[:, na:])
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([a.data, b.data], axis=1), _parents=(a, b), _backprop=backprop)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(x.data[:, start:stop], _parents=(x,))
     def backprop(g):
         full = np.zeros_like(x.data)
         full[:, start:stop] = g
         x._accum(full)
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return Tensor(x.data[:, start:stop], _parents=(x,), _backprop=backprop)
 
 
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
     if axis is not None and not (-x.data.ndim <= axis < x.data.ndim):
         raise ValueError(f"reduce_sum: axis {axis} invalid for shape {x.data.shape}")
-    out = Tensor(x.data.sum(axis=axis), _parents=(x,))
     def backprop(g):
         if axis is None:
             x._accum(np.broadcast_to(g, x.data.shape).copy())
         else:
             x._accum(np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return Tensor(x.data.sum(axis=axis), _parents=(x,), _backprop=backprop)
 
 
 def softmax_weights(scores: Tensor) -> Tensor:
@@ -291,13 +248,11 @@ def softmax_weights(scores: Tensor) -> Tensor:
     shifted = scores.data - scores.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     w = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(w, _parents=(scores,))
     def backprop(g):
         # dL/ds = w * (g - sum(g * w)) along the softmax axis
         dot = (g * w).sum(axis=-1, keepdims=True)
         scores._accum(w * (g - dot))
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return Tensor(w, _parents=(scores,), _backprop=backprop)
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
@@ -307,11 +262,9 @@ def mse_loss(pred: Tensor, target) -> Tensor:
         raise ValueError(f"mse_loss length mismatch: pred {pred.data.shape} vs target {t.shape}")
     diff = pred.data - t
     n = diff.size
-    out = Tensor(np.float64((diff * diff).sum() / n), _parents=(pred,))
     def backprop(g):
         pred._accum((2.0 / n) * diff * g)
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return Tensor(np.float64((diff * diff).sum() / n), _parents=(pred,), _backprop=backprop)
 
 
 # -- parameters and optimizer ---------------------------------------------

@@ -112,6 +112,8 @@ def cmd_eval(args) -> int:
             raise UsageError(f"unknown metric {m!r}; choose from {', '.join(_METRICS)}")
     if "permsens" in metrics and args.k < 2:
         raise UsageError("permutation sensitivity needs k >= 2 passes")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     try:
         params = train.load_params(args.checkpoint)
     except FileNotFoundError as exc:
@@ -140,7 +142,7 @@ def cmd_eval(args) -> int:
         print(f"{report.kind} intermediate mae[{split}] = {report.mae:.6f}")
 
     if "permsens" in metrics:
-        sens = evaluate.permutation_sensitivity(params, ds, split, k=args.k, seed=args.seed or 0)
+        sens = evaluate.permutation_sensitivity(params, ds, split, k=args.k, seed=args.seed)
         rows = [[i, repr(v)] for i, v in enumerate(sens["mse"])] + [
             [k, repr(sens[k])] for k in ("mean", "median", "stdev", "spread")]
         _write_csv(os.path.join(args.out, "permsens.csv"), ["pass", "mse"], rows)
@@ -160,7 +162,6 @@ def _write_csv(path, header, rows):
 
 
 def _family_spec(label: str, base: dict) -> models.ModelSpec:
-    label = label.lower()
     capacity = label.startswith("c-")
     family = label[2:] if capacity else label
     return models.ModelSpec(family=family, capacity=capacity, **base)
@@ -169,7 +170,8 @@ def _family_spec(label: str, base: dict) -> models.ModelSpec:
 # a sweep's `train` and `model` sections set every field of its runs but the
 # ones that the sweep itself varies or names
 _SWEEP_SCHEMA = {
-    "dataset": fileio.STR, "families": fileio.STRS, "seeds": fileio.INTS,
+    "dataset": fileio.STR, "families": fileio.STRS,
+    "seeds": fileio.list_of(fileio.COUNT, "a list of ints >= 0"),
     "train_sizes": fileio.optional(fileio.INTS),
     "train": fileio.optional(fileio.obj({k: v for k, v in train.RUN_SCHEMA.items()
                                          if k not in ("dataset", "model", "seed")})),
@@ -179,7 +181,13 @@ _SWEEP_SCHEMA = {
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     config = fileio.check_fields(_load_json(args.config), _SWEEP_SCHEMA, args.config)
+    families = [label.lower() for label in config["families"]]
+    for i, label in enumerate(families):
+        if label in families[:i]:
+            raise UsageError(f"{args.config}: family {config['families'][i]!r} is listed twice")
     base_train = config.get("train", {})
     base_model = config.get("model", {})
     seeds = config["seeds"]
@@ -199,10 +207,10 @@ def cmd_sweep(args) -> int:
                              "the dataset's train split")
         else:
             ds = replace(full, splits={**full.splits, "train": full.splits["train"].head(size)})
-        for label in config["families"]:
+        for label in families:
             cfg = train.RunConfig(dataset=config["dataset"], model=_family_spec(label, base_model),
                                   **base_train)
-            cells.append({"label": label.lower(), "size": size or len(full.splits["train"]),
+            cells.append({"label": label, "size": size or len(full.splits["train"]),
                           "config": cfg, "dataset": ds})
 
     failed = threading.Event()
@@ -216,7 +224,7 @@ def cmd_sweep(args) -> int:
             failed.set()
             raise
 
-    with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
         results = list(pool.map(run, cells))
 
     os.makedirs(args.out, exist_ok=True)

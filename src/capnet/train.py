@@ -42,6 +42,8 @@ class RunConfig:
                              "baselines have no intermediate values to penalize")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> dict:
         """The config as JSON, float fields as floats: `lr` 1 and 1.0 hash alike."""

@@ -119,10 +119,8 @@ def test_activations_match_finite_differences():
     # keep inputs away from the relu/abs kinks
     x = RNG.normal(size=(3, 5))
     x[np.abs(x) < 0.05] = 0.2
-    for kind in ("tanh", "sigmoid", "relu", "abs"):
-        check_grads(lambda t, k=kind: ad.reduce_sum(ad.activation(k, t)), [x])
-    with pytest.raises(ValueError):
-        ad.activation("softplus", ad.Tensor(x))
+    for op in (ad.tanh, ad.sigmoid, ad.relu, ad.absolute):
+        check_grads(lambda t, f=op: ad.reduce_sum(f(t)), [x])
 
 
 def test_abs_uses_zero_subgradient_at_kink():
@@ -192,10 +190,45 @@ def test_backward_guards():
 
 
 def test_constant_graph_skips_gradient_tracking():
-    x = ad.Tensor(np.ones((2, 2)))
-    y = ad.reduce_sum(ad.tanh(x) * 3.0)
-    assert not y.requires_grad
-    assert y._parents == ()
+    """Every op's node keeps no parents and no closure when its inputs are
+    constants, and keeps both when an input tracks a gradient."""
+    ops = {
+        "add number": lambda x, u: x + 2.0,
+        "radd number": lambda x, u: 2.0 + x,
+        "add tensor": lambda x, u: x + u,
+        "sub number": lambda x, u: x - 2.0,
+        "sub tensor": lambda x, u: x - u,
+        "mul number": lambda x, u: x * 2.0,
+        "rmul number": lambda x, u: 2.0 * x,
+        "mul tensor": lambda x, u: x * u,
+        "rsub number": lambda x, u: 1.0 - x,
+        "linear": lambda x, u: ad.linear(x, u, ad.Tensor(np.zeros(2))),
+        "tanh": lambda x, u: ad.tanh(x),
+        "sigmoid": lambda x, u: ad.sigmoid(x),
+        "relu": lambda x, u: ad.relu(x),
+        "absolute": lambda x, u: ad.absolute(x),
+        "concat": lambda x, u: ad.concat(x, u),
+        "slice_cols": lambda x, u: ad.slice_cols(x, 0, 1),
+        "reduce_sum": lambda x, u: ad.reduce_sum(x),
+        "reduce_sum axis": lambda x, u: ad.reduce_sum(x, axis=1),
+        "softmax_weights": lambda x, u: ad.softmax_weights(x),
+        "mse_loss": lambda x, u: ad.mse_loss(x, np.zeros((2, 2))),
+    }
+    u = ad.Tensor(np.full((2, 2), 0.5))
+    for name, op in ops.items():
+        y = op(ad.Tensor(np.ones((2, 2))), u)
+        assert not y.requires_grad, name
+        assert y._parents == () and y._backprop is None, name
+        x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        y = op(x, u)
+        assert y.requires_grad and y._parents and y._backprop is not None, name
+
+
+def test_sub_of_a_number_is_one_add_node():
+    x = ad.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    y = x - 2.0
+    assert y._parents == (x,)
+    assert y.data.tobytes() == (x.data - 2.0).tobytes()
 
 
 def test_param_store_paths_and_freeze():

@@ -182,10 +182,13 @@ def test_train_outputs_and_reproducibility(tmp_path):
         assert f1.read() == f2.read()
 
 
-def test_train_seed_override(tmp_path):
+def test_train_seed_override(tmp_path, capsys):
     ds = dataset_dir(tmp_path)
     cfg = train_config(tmp_path, ds)
     out = str(tmp_path / "seeded")
+    assert cli.main(["train", "--config", cfg, "--out", out, "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not os.path.exists(out)
     assert cli.main(["train", "--config", cfg, "--out", out, "--seed", "7"]) == 0
     with open(os.path.join(out, "checkpoint.json")) as f:
         assert json.load(f)["seed"] == 7
@@ -555,6 +558,9 @@ def test_eval_metric_validation(trained, capsys):
     assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", ds, "--out", out,
                      "--metric", "mse,intermediates,permsens", "--k", "1"]) == 2
     assert "k >= 2" in capsys.readouterr().err
+    assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", ds, "--out", out,
+                     "--metric", "mse,permsens", "--seed", "-1"]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -829,6 +835,15 @@ def test_sweep_config_validation(tmp_path, capsys):
     cfg4 = write_json(tmp_path / "list.json", [{"dataset": ds}])
     assert cli.main(["sweep", "--config", cfg4, "--out", str(tmp_path / "o")]) == 2
     assert "holds list, not an object" in capsys.readouterr().err
+    # a family listed twice, in any case, is refused before the dataset is read
+    cfg5 = sweep_config(tmp_path, str(tmp_path / "no_dataset"), families=["gru", "c-gru", "GRU"])
+    assert cli.main(["sweep", "--config", cfg5, "--out", str(tmp_path / "o")]) == 2
+    assert "family 'GRU' is listed twice" in capsys.readouterr().err
+    for jobs in ("0", "-3"):
+        assert cli.main(["sweep", "--config", sweep_config(tmp_path, ds),
+                         "--out", str(tmp_path / "o"), "--jobs", jobs]) == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 @pytest.mark.parametrize("command, edit, why", [
@@ -858,6 +873,8 @@ def test_sweep_config_validation(tmp_path, capsys):
     ("sweep", {"model": {"hidden_dim": "4"}},
      "sweep.json field 'model.hidden_dim' is '4', expected an int"),
     ("sweep", {"model": {"family": "gru"}}, "sweep.json has unknown field 'model.family'"),
+    ("train", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("sweep", {"seeds": [-2]}, "sweep.json field 'seeds' is [-2], expected a list of ints >= 0"),
 ])
 def test_malformed_run_and_sweep_configs_name_the_field_and_exit_2(tmp_path, capsys, command,
                                                                    edit, why):
