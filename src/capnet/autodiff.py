@@ -337,15 +337,15 @@ class ParamStore:
             t.data = arr.copy()
 
 
-class Adam:
-    """Adam with bias correction (lr 0.001, betas 0.9/0.999 by default)."""
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, store: ParamStore, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+
+class Adam:
+    """Adam with bias correction; only the learning rate is set per run."""
+
+    def __init__(self, store: ParamStore, lr=0.001):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {p: np.zeros_like(t.data) for p, t in store.items()}
         self.v = {p: np.zeros_like(t.data) for p, t in store.items()}
@@ -355,17 +355,17 @@ class Adam:
             if t.grad is None:
                 raise ValueError(f"adam step: parameter {path!r} has no gradient")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for path, t in self.store.items():
             g = t.grad
             m = self.m[path]
             v = self.v[path]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            t.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            t.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # -- checkpoint format -----------------------------------------------------

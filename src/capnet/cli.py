@@ -63,16 +63,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_config(path, seed_override=None) -> train.RunConfig:
-    cfg = train.RunConfig.from_json(_load_json(path), path)
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
-    dataset_dir = data.resolve_path(cfg.dataset)
-    if not os.path.exists(os.path.join(dataset_dir, "manifest.json")):
-        raise UsageError(f"dataset not found at {dataset_dir}")
-    return cfg
-
-
 def _write_experiment_manifest(out_dir, cfg: train.RunConfig, seeds, outputs):
     ds_manifest = os.path.join(data.resolve_path(cfg.dataset), "manifest.json")
     manifest = {
@@ -87,7 +77,9 @@ def _write_experiment_manifest(out_dir, cfg: train.RunConfig, seeds, outputs):
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(args.config, args.seed)
+    cfg = train.RunConfig.from_json(_load_json(args.config), args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     result = train.train_run(cfg, out_dir=args.out)
     _write_experiment_manifest(args.out, cfg, [cfg.seed],
                                ["metrics.csv", "timing.csv", "checkpoint.capn", "checkpoint.json"])
@@ -161,45 +153,38 @@ def _write_csv(path, header, rows):
     fileio.write_files({path: fileio.csv_bytes([header] + rows)})
 
 
-def _family_spec(label: str, base: dict) -> models.ModelSpec:
-    capacity = label.startswith("c-")
-    family = label[2:] if capacity else label
-    return models.ModelSpec(family=family, capacity=capacity, **base)
-
-
 # a sweep's `train` and `model` sections set every field of its runs but the
-# ones that the sweep itself varies or names
+# ones that the sweep itself varies or names, and the feature width, which
+# training takes from the dataset
 _SWEEP_SCHEMA = {
-    "dataset": fileio.STR, "families": fileio.STRS,
-    "seeds": fileio.list_of(fileio.COUNT, "a list of ints >= 0"),
-    "train_sizes": fileio.optional(fileio.INTS),
+    "dataset": fileio.STR,
+    "families": fileio.distinct(fileio.STR, "a list of strings, at least one, "
+                                "none twice in any case", key=str.lower),
+    "seeds": fileio.distinct(fileio.COUNT, "a list of ints >= 0, at least one, none twice"),
+    "train_sizes": fileio.optional(fileio.distinct(fileio.INT,
+                                                   "a list of ints, at least one, none twice")),
     "train": fileio.optional(fileio.obj({k: v for k, v in train.RUN_SCHEMA.items()
                                          if k not in ("dataset", "model", "seed")})),
     "model": fileio.optional(fileio.obj({k: v for k, v in models.MODEL_SCHEMA.items()
-                                         if k not in ("family", "capacity")})),
+                                         if k not in ("family", "capacity", "input_dim")})),
 }
 
 
 def cmd_sweep(args) -> int:
+    """Train each family at each train size under every seed. Every check
+    that does not need the dataset's contents runs before a split is read."""
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     config = fileio.check_fields(_load_json(args.config), _SWEEP_SCHEMA, args.config)
-    families = [label.lower() for label in config["families"]]
-    for i, label in enumerate(families):
-        if label in families[:i]:
-            raise UsageError(f"{args.config}: family {config['families'][i]!r} is listed twice")
-    base_train = config.get("train", {})
-    base_model = config.get("model", {})
+    runs = [train.RunConfig(dataset=config["dataset"],
+                            model=models.ModelSpec.from_label(label, **config.get("model", {})),
+                            **config.get("train", {}))
+            for label in config["families"]]
     seeds = config["seeds"]
-    train_sizes = config.get("train_sizes")
-
-    ds_path = data.resolve_path(config["dataset"])
-    if not os.path.exists(os.path.join(ds_path, "manifest.json")):
-        raise UsageError(f"dataset not found at {ds_path}")
-    full = data.load_dataset(ds_path)
+    full = data.load_dataset(data.resolve_path(config["dataset"]))
 
     cells = []
-    for size in (train_sizes or [None]):
+    for size in config.get("train_sizes", [None]):
         if size is None:
             ds = full
         elif not 0 < size <= len(full.splits["train"]):
@@ -207,11 +192,8 @@ def cmd_sweep(args) -> int:
                              "the dataset's train split")
         else:
             ds = replace(full, splits={**full.splits, "train": full.splits["train"].head(size)})
-        for label in families:
-            cfg = train.RunConfig(dataset=config["dataset"], model=_family_spec(label, base_model),
-                                  **base_train)
-            cells.append({"label": label, "size": size or len(full.splits["train"]),
-                          "config": cfg, "dataset": ds})
+        cells += [{"size": size or len(full.splits["train"]), "config": cfg, "dataset": ds}
+                  for cfg in runs]
 
     failed = threading.Event()
 
@@ -231,16 +213,15 @@ def cmd_sweep(args) -> int:
     header = ["family", "train_size", "seeds",
               "val_mse_mean", "val_mse_median", "val_mse_stdev",
               "test_mse_mean", "test_mse_median", "test_mse_stdev", "delta_median"]
-    by_key = {}
-    for cell, agg in zip(cells, results):
-        by_key[(cell["label"], cell["size"])] = agg
+    by_key = {(cell["config"].model.label, cell["size"]): agg for cell, agg in zip(cells, results)}
     rows = []
     for cell, agg in zip(cells, results):
-        label = cell["label"]
-        # capacity-minus-baseline gap on test medians, when both cells exist
-        base = by_key.get((label[2:], cell["size"])) if label.startswith("c-") else None
+        spec = cell["config"].model
+        # capacity-minus-baseline gap on test medians, when both cells exist;
+        # a baseline's label is its family
+        base = by_key.get((spec.family, cell["size"])) if spec.capacity else None
         delta = "" if base is None else repr(agg["test_mse"]["median"] - base["test_mse"]["median"])
-        rows.append([label, cell["size"], ";".join(str(s) for s in seeds)]
+        rows.append([spec.label, cell["size"], ";".join(str(s) for s in seeds)]
                     + [repr(agg[m][k]) for m in ("val_mse", "test_mse")
                        for k in ("mean", "median", "stdev")] + [delta])
     _write_csv(os.path.join(args.out, "sweep.csv"), header, rows)

@@ -493,9 +493,10 @@ def _overlapping(windows: dict, wanted) -> set:
 
 
 def load_dataset(path, splits=SPLITS) -> Dataset:
-    """Load a saved dataset, verifying versions, the manifest's fields, and
-    the checksum and bags of each split in `splits`, its labels against the
-    oracle included. A split file must be in exactly the layout
+    """Load a saved dataset, verifying versions, the manifest's fields (its
+    class range is the task's), and the checksum and bags of each split in
+    `splits`, its labels against the oracle included. A directory without a
+    manifest raises ValueError "dataset not found". A split file must be in exactly the layout
     `save_dataset` writes; any other layout is refused at its first line
     outside it.
 
@@ -505,11 +506,17 @@ def load_dataset(path, splits=SPLITS) -> Dataset:
     because only then can the two splits share an image; disjoint windows need no extra read. The returned
     dataset holds every split read, and split purity is checked over them.
     """
-    with open(os.path.join(path, "manifest.json")) as f:
-        manifest = fileio.check_fields(json.load(f), _MANIFEST_SCHEMA, "manifest.json")
+    try:
+        with open(os.path.join(path, "manifest.json")) as f:
+            manifest = fileio.check_fields(json.load(f), _MANIFEST_SCHEMA, "manifest.json")
+    except (FileNotFoundError, NotADirectoryError):
+        raise ValueError(f"dataset not found at {path}") from None
     spec = DatasetSpec.from_json({**manifest,
                                   "counts": [manifest["counts"][s] for s in SPLITS]})
     task = oracle.TaskSpec(manifest["task"], pair_set=tuple(tuple(p) for p in manifest["pair_set"]))
+    if manifest["class_range"] != list(task.class_range):
+        raise ValueError(f"manifest.json field 'class_range' is {manifest['class_range']!r}, "
+                         f"expected {list(task.class_range)}, the range of {task.kind}")
 
     read, pools = set(splits), None
     if spec.mode == "image":

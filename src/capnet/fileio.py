@@ -69,7 +69,12 @@ def list_of(kind: Kind, want: str) -> Kind:
 
 
 INTS = list_of(INT, "a list of ints")
-STRS = list_of(STR, "a list of strings")
+
+
+def distinct(kind: Kind, want: str, key=lambda v: v) -> Kind:
+    """A list of `kind` entries, at least one, no two with the same `key`."""
+    ok = list_of(kind, want).ok
+    return Kind(want, lambda v: ok(v) and 0 < len(v) == len({key(e) for e in v}))
 
 
 def obj(schema: dict) -> Kind:

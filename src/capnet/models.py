@@ -53,6 +53,13 @@ class ModelSpec:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
+    @classmethod
+    def from_label(cls, label: str, **fields) -> "ModelSpec":
+        """The spec whose `label` is `label`, in any case: `c-<family>` is the
+        capacity variant of <family>, any other label a baseline family."""
+        capacity = label.lower().startswith("c-")
+        return cls(family=label[2:] if capacity else label, capacity=capacity, **fields)
+
     @property
     def label(self) -> str:
         if self.capacity:

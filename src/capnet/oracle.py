@@ -65,23 +65,14 @@ class ClassMultiset:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Task kind plus the data it needs: pair set P (USS) and sampling range."""
+    """Task kind plus the pair set P it needs (USS)."""
 
     kind: str
     pair_set: tuple = ()
-    class_range: tuple = None
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}; expected one of {TASK_KINDS}")
-        if self.class_range is None:
-            low = 1 if self.kind == "Mult" else 0
-            object.__setattr__(self, "class_range", (low, NUM_CLASSES - 1))
-        low, high = self.class_range
-        if not (0 <= low <= high <= NUM_CLASSES - 1):
-            raise ValueError(f"bad class range {self.class_range}")
-        if self.kind == "Mult" and low < 1:
-            raise ValueError("Mult must not sample class 0 (breaks monotonicity)")
         pairs = tuple(tuple(int(c) for c in p) for p in self.pair_set)
         for a, b in pairs:
             if not (0 <= a < b <= NUM_CLASSES - 1):
@@ -91,6 +82,12 @@ class TaskSpec:
         if pairs and self.kind != "USS":
             raise ValueError(f"pair set only applies to USS, not {self.kind}")
         object.__setattr__(self, "pair_set", pairs)
+
+    @property
+    def class_range(self) -> tuple:
+        """The (low, high) class ids a bag of this task draws from; Mult
+        skips class 0, which would break monotonicity."""
+        return (1 if self.kind == "Mult" else 0, NUM_CLASSES - 1)
 
 
 def _to_multiset(bag) -> ClassMultiset:

@@ -229,23 +229,21 @@ def _aggregate(values: list) -> dict:
     }
 
 
-def multi_seed(config: RunConfig, seeds: list, out_dir=None,
-               dataset: data.Dataset = None) -> dict:
-    """Run the same config under several seeds; aggregate final val and test
-    MSE as mean/median/stdev."""
+def multi_seed(config: RunConfig, seeds: list, dataset: data.Dataset, out_dir=None) -> dict:
+    """Run the same config on `dataset` under several seeds; aggregate final
+    val and test MSE as mean/median/stdev."""
     if not seeds:
         raise ValueError("multi_seed needs at least one seed")
-    ds = dataset if dataset is not None else data.load_dataset(data.resolve_path(config.dataset))
     runs = []
     val_mse = []
     test_mse = []
     for seed in seeds:
         cfg = replace(config, seed=int(seed))
         run_dir = os.path.join(out_dir, f"seed{seed}") if out_dir else None
-        res = train_run(cfg, out_dir=run_dir, dataset=ds)
+        res = train_run(cfg, out_dir=run_dir, dataset=dataset)
         runs.append(res)
         val_mse.append(res.final_val_mse)
-        test_mse.append(evaluate.evaluate_mse(res.params, ds, "test"))
+        test_mse.append(evaluate.evaluate_mse(res.params, dataset, "test"))
     return {
         "seeds": [int(s) for s in seeds],
         "val_mse": _aggregate(val_mse),

@@ -38,6 +38,15 @@ def dataset_dir(tmp_path, name="ds", task="US", counts=(200, 40, 40), size=3, se
     return out
 
 
+def damage_splits(ds):
+    """`ds` with a byte added to each split file: a command that reads a
+    split fails its checksum."""
+    for split in data.SPLITS:
+        with open(os.path.join(ds, f"{split}.jsonl"), "ab") as f:
+            f.write(b"\n")
+    return ds
+
+
 def train_config(tmp_path, ds_path, name="run", model=None, **overrides):
     obj = {"dataset": ds_path, "model": dict(model or SMALL_MODEL),
            "batch_size": 50, "epochs": 2, "seed": 0}
@@ -290,6 +299,7 @@ def test_split_with_missing_bags_exits_2(tmp_path, capsys):
     ("noise", "a", "noise"), ("noise", True, "noise"), ("seed", "x", "seed"),
     ("seed", 1.5, "seed"), ("pair_count", None, "pair_count"), ("pools", 3, "pools"),
     ("pools", {"train": {"source": 1, "offset": 0, "count": 5}}, "pools.train.source"),
+    ("class_range", [0, 3], "class_range"), ("class_range", [7], "class_range"),
 ])
 def test_wrong_type_manifest_fields_name_the_field_and_exit_2(tmp_path, capsys, field, value,
                                                               named):
@@ -822,28 +832,42 @@ def test_sweep_train_sizes(tmp_path):
 
 
 def test_sweep_config_validation(tmp_path, capsys):
+    """Every sweep config fault exits 2 with its own error and creates no
+    `--out`. Only a train size's range needs the dataset: every other fault
+    is tried on a dataset whose split files are all damaged, so a check that
+    ran after a split was read would report the checksum failure instead."""
+    out = str(tmp_path / "o")
     ds = dataset_dir(tmp_path)
-    cfg = write_json(tmp_path / "s.json", {"dataset": ds, "seeds": [0]})
-    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "families" in capsys.readouterr().err
     for size in (999, 0, -5):
-        cfg2 = sweep_config(tmp_path, ds, train_sizes=[size])
-        assert cli.main(["sweep", "--config", cfg2, "--out", str(tmp_path / "o")]) == 2
+        cfg = sweep_config(tmp_path, ds, train_sizes=[size])
+        assert cli.main(["sweep", "--config", cfg, "--out", out]) == 2
         assert f"train size {size} is outside 1..200" in capsys.readouterr().err
-    cfg3 = sweep_config(tmp_path, ds, families=["warp-drive"])
-    assert cli.main(["sweep", "--config", cfg3, "--out", str(tmp_path / "o")]) == 2
-    cfg4 = write_json(tmp_path / "list.json", [{"dataset": ds}])
-    assert cli.main(["sweep", "--config", cfg4, "--out", str(tmp_path / "o")]) == 2
+    damaged = damage_splits(dataset_dir(tmp_path, name="damaged", counts=(20, 5, 5)))
+    missing = str(tmp_path / "no_dataset")
+    for edit, why in [
+        ({"families": ["warp-drive"]}, "unknown family 'warp-drive'"),
+        ({"families": ["gru", "c-deepset"]}, "capacity variant exists only for"),
+        ({"families": ["gru", "C-"]}, "unknown family ''"),
+        ({"model": {"hidden_dim": 0}}, "hidden_dim must be >= 1"),
+        ({"train": {"batch_size": 0}}, "batch_size must be >= 1"),
+        ({"families": ["gru", "c-gru", "GRU"]}, "field 'families' is ['gru', 'c-gru', 'GRU'], "
+         "expected a list of strings, at least one, none twice in any case"),
+        ({"dataset": missing}, f"dataset not found at {missing}"),
+    ]:
+        cfg = sweep_config(tmp_path, damaged, **edit)
+        assert cli.main(["sweep", "--config", cfg, "--out", out]) == 2
+        assert why in capsys.readouterr().err
+    cfg = write_json(tmp_path / "s.json", {"dataset": damaged, "seeds": [0]})
+    assert cli.main(["sweep", "--config", cfg, "--out", out]) == 2
+    assert "s.json lacks the 'families' field" in capsys.readouterr().err
+    cfg = write_json(tmp_path / "list.json", [{"dataset": damaged}])
+    assert cli.main(["sweep", "--config", cfg, "--out", out]) == 2
     assert "holds list, not an object" in capsys.readouterr().err
-    # a family listed twice, in any case, is refused before the dataset is read
-    cfg5 = sweep_config(tmp_path, str(tmp_path / "no_dataset"), families=["gru", "c-gru", "GRU"])
-    assert cli.main(["sweep", "--config", cfg5, "--out", str(tmp_path / "o")]) == 2
-    assert "family 'GRU' is listed twice" in capsys.readouterr().err
     for jobs in ("0", "-3"):
-        assert cli.main(["sweep", "--config", sweep_config(tmp_path, ds),
-                         "--out", str(tmp_path / "o"), "--jobs", jobs]) == 2
+        assert cli.main(["sweep", "--config", sweep_config(tmp_path, damaged),
+                         "--out", out, "--jobs", jobs]) == 2
         assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "o")
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("command, edit, why", [
@@ -875,12 +899,24 @@ def test_sweep_config_validation(tmp_path, capsys):
     ("sweep", {"model": {"family": "gru"}}, "sweep.json has unknown field 'model.family'"),
     ("train", {"seed": -1}, "seed must be >= 0, got -1"),
     ("sweep", {"seeds": [-2]}, "sweep.json field 'seeds' is [-2], expected a list of ints >= 0"),
+    ("sweep", {"seeds": [1, 1]}, "sweep.json field 'seeds' is [1, 1], expected a list of ints "
+     ">= 0, at least one, none twice"),
+    ("sweep", {"seeds": []}, "sweep.json field 'seeds' is [], expected a list of ints >= 0, "
+     "at least one"),
+    ("sweep", {"train_sizes": [10, 10]}, "sweep.json field 'train_sizes' is [10, 10], expected "
+     "a list of ints, at least one, none twice"),
+    ("sweep", {"train_sizes": []}, "sweep.json field 'train_sizes' is [], expected a list of "
+     "ints, at least one"),
+    ("sweep", {"families": []}, "sweep.json field 'families' is [], expected a list of strings, "
+     "at least one"),
+    ("sweep", {"model": {"input_dim": 784}}, "sweep.json has unknown field 'model.input_dim'"),
 ])
 def test_malformed_run_and_sweep_configs_name_the_field_and_exit_2(tmp_path, capsys, command,
                                                                    edit, why):
     """Every RunConfig field, and the sweep config's own fields and
-    sections, with a value of the wrong kind."""
-    ds = dataset_dir(tmp_path, counts=(20, 5, 5))
+    sections, with a value of the wrong kind. Each is refused before a
+    split is read, so the dataset's damaged split files do not mask it."""
+    ds = damage_splits(dataset_dir(tmp_path, counts=(20, 5, 5)))
     if command == "train":
         cfg = write_json(tmp_path / "run.json", {"dataset": ds, "model": SMALL_MODEL,
                                                  "batch_size": 10, "epochs": 1, **edit})

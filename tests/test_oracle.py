@@ -225,8 +225,6 @@ def test_product_task_rejects_class_zero():
     task = TaskSpec("Mult")
     with pytest.raises(ValueError):
         eval_task(task, [3, 0, 2])
-    with pytest.raises(ValueError):
-        TaskSpec("Mult", class_range=(0, 9))
 
 
 def test_multiset_validation():
