@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import json
 import os
 import sys
 import threading
@@ -22,16 +21,6 @@ from . import __version__, data, evaluate, fileio, models, train
 
 class UsageError(ValueError):
     pass
-
-
-def _load_json(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}")
 
 
 _POOL_ENTRY = fileio.obj({"images": fileio.STR, "labels": fileio.STR,
@@ -49,7 +38,7 @@ def _load_pools(entries: dict) -> dict:
 
 
 def cmd_generate(args) -> int:
-    config = fileio.check_fields(_load_json(args.config), _DATASET_SCHEMA, args.config)
+    config = fileio.check_fields(fileio.read_json(args.config), _DATASET_SCHEMA, args.config)
     spec = data.DatasetSpec.from_json(config)
     pools = _load_pools(config.get("pools", {})) if spec.mode == "image" else None
     ds = data.generate_dataset(spec, pools=pools)
@@ -77,7 +66,7 @@ def _write_experiment_manifest(out_dir, cfg: train.RunConfig, seeds, outputs):
 
 
 def cmd_train(args) -> int:
-    cfg = train.RunConfig.from_json(_load_json(args.config), args.config)
+    cfg = train.RunConfig.from_json(fileio.read_json(args.config), args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     result = train.train_run(cfg, out_dir=args.out)
@@ -95,7 +84,7 @@ def cmd_eval(args) -> int:
     """Score a checkpoint on `--split` with the requested metrics. It reads
     that split's file and pool only, plus a split whose pool window overlaps
     it, for the purity check; a damaged file of another split does not stop
-    it."""
+    it. Every metric runs before `--out` is made and its files written."""
     metrics = [m.strip() for m in (args.metric or "").split(",") if m.strip()]
     if not metrics:
         raise UsageError(f"no metrics requested; choose from {', '.join(_METRICS)}")
@@ -114,43 +103,37 @@ def cmd_eval(args) -> int:
     if params.spec.input_dim != ds.feature_dim():
         raise UsageError(f"checkpoint expects {params.spec.input_dim}-dim features "
                          f"but dataset provides {ds.feature_dim()}-dim")
-    os.makedirs(args.out, exist_ok=True)
-    split = args.split
+    split, files = args.split, {}
 
     if "mse" in metrics:
         mse = evaluate.evaluate_mse(params, ds, split)
-        _write_csv(os.path.join(args.out, "mse.csv"), ["split", "mse"], [[split, repr(mse)]])
+        files["mse.csv"] = fileio.csv_bytes([["split", "mse"], [split, repr(mse)]])
         print(f"mse[{split}] = {mse:.6f}")
 
     if "intermediates" in metrics:
-        if params.spec.capacity:
-            report = evaluate.intermediate_mae(params, ds, split)
-        else:
-            report = evaluate.pseudo_report(params, ds, split)
-        out_path = os.path.join(args.out, "intermediates.jsonl")
-        evaluate.write_intermediate_jsonl(out_path, report)
-        _write_csv(os.path.join(args.out, "intermediates.csv"),
-                   ["kind", "split", "mae"], [[report.kind, split, repr(report.mae)]])
+        report = (evaluate.intermediate_mae if params.spec.capacity
+                  else evaluate.pseudo_report)(params, ds, split)
+        files["intermediates.jsonl"] = evaluate.intermediate_jsonl(report)
+        files["intermediates.csv"] = fileio.csv_bytes([["kind", "split", "mae"],
+                                                       [report.kind, split, repr(report.mae)]])
         print(f"{report.kind} intermediate mae[{split}] = {report.mae:.6f}")
 
     if "permsens" in metrics:
         sens = evaluate.permutation_sensitivity(params, ds, split, k=args.k, seed=args.seed)
-        rows = [[i, repr(v)] for i, v in enumerate(sens["mse"])] + [
-            [k, repr(sens[k])] for k in ("mean", "median", "stdev", "spread")]
-        _write_csv(os.path.join(args.out, "permsens.csv"), ["pass", "mse"], rows)
+        files["permsens.csv"] = fileio.csv_bytes([["pass", "mse"]] + [
+            [i, repr(v)] for i, v in enumerate(sens["mse"])] + [
+            [k, repr(sens[k])] for k in ("mean", "median", "stdev", "spread")])
         print(f"permutation sensitivity[{split}]: mean {sens['mean']:.6f}, "
               f"spread {sens['spread']:.3g} over {args.k} passes")
 
     if "accuracy" in metrics:
         acc = evaluate.rounded_accuracy(params, ds, split)
-        _write_csv(os.path.join(args.out, "accuracy.csv"), ["split", "accuracy"],
-                   [[split, repr(acc)]])
+        files["accuracy.csv"] = fileio.csv_bytes([["split", "accuracy"], [split, repr(acc)]])
         print(f"rounded accuracy[{split}] = {acc:.4f}")
+
+    os.makedirs(args.out, exist_ok=True)
+    fileio.write_files({os.path.join(args.out, name): payload for name, payload in files.items()})
     return 0
-
-
-def _write_csv(path, header, rows):
-    fileio.write_files({path: fileio.csv_bytes([header] + rows)})
 
 
 # a sweep's `train` and `model` sections set every field of its runs but the
@@ -172,10 +155,11 @@ _SWEEP_SCHEMA = {
 
 def cmd_sweep(args) -> int:
     """Train each family at each train size under every seed. Every check
-    that does not need the dataset's contents runs before a split is read."""
+    that does not need the dataset's contents runs before a split is read,
+    and every train size is checked before a cell trains."""
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    config = fileio.check_fields(_load_json(args.config), _SWEEP_SCHEMA, args.config)
+    config = fileio.check_fields(fileio.read_json(args.config), _SWEEP_SCHEMA, args.config)
     runs = [train.RunConfig(dataset=config["dataset"],
                             model=models.ModelSpec.from_label(label, **config.get("model", {})),
                             **config.get("train", {}))
@@ -192,6 +176,8 @@ def cmd_sweep(args) -> int:
                              "the dataset's train split")
         else:
             ds = replace(full, splits={**full.splits, "train": full.splits["train"].head(size)})
+        for cfg in runs:
+            train.check_batch_size(cfg, ds)
         cells += [{"size": size or len(full.splits["train"]), "config": cfg, "dataset": ds}
                   for cfg in runs]
 
@@ -224,7 +210,7 @@ def cmd_sweep(args) -> int:
         rows.append([spec.label, cell["size"], ";".join(str(s) for s in seeds)]
                     + [repr(agg[m][k]) for m in ("val_mse", "test_mse")
                        for k in ("mean", "median", "stdev")] + [delta])
-    _write_csv(os.path.join(args.out, "sweep.csv"), header, rows)
+    fileio.write_files({os.path.join(args.out, "sweep.csv"): fileio.csv_bytes([header] + rows)})
     for row in rows:
         gap = f", delta {float(row[9]):+.4f}" if row[9] else ""
         print(f"{row[0]:<10} n={row[1]:<7} test mse median {float(row[7]):.4f}{gap}")
@@ -236,8 +222,7 @@ def cmd_report(args) -> int:
     if not os.path.exists(path):
         raise UsageError(f"no such file: {path}")
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        table = list(reader)
+        table = list(csv.reader(f))
     if not table:
         raise UsageError(f"{path} is empty")
     widths = [max(len(row[i]) if i < len(row) else 0 for row in table)

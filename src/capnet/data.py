@@ -25,7 +25,6 @@ oracle. A file in any other layout is refused at its first line outside it.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import struct
@@ -357,17 +356,6 @@ def _draw_bags(rng, count: int, sizes: tuple, low: int, high: int, pool, split: 
         img_idx.append(images)
 
 
-def _wrong_labels(task: oracle.TaskSpec, classes: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Which rows of a [B, n] class array store a label other than the oracle's."""
-    return labels != _oracle_labels(task, classes)
-
-
-def validate_labels(task: oracle.TaskSpec, split: Split) -> bool:
-    """Whether every stored label of `split` equals the oracle's."""
-    return not any(_wrong_labels(task, classes, labels).any()
-                   for _, classes, _, labels in split.groups.values())
-
-
 def check_split_purity(ds: Dataset):
     """No image (global index within its source file) may appear in two splits."""
     if not ds.pools:
@@ -507,8 +495,8 @@ def load_dataset(path, splits=SPLITS) -> Dataset:
     dataset holds every split read, and split purity is checked over them.
     """
     try:
-        with open(os.path.join(path, "manifest.json")) as f:
-            manifest = fileio.check_fields(json.load(f), _MANIFEST_SCHEMA, "manifest.json")
+        manifest = fileio.check_fields(fileio.read_json(os.path.join(path, "manifest.json")),
+                                       _MANIFEST_SCHEMA, "manifest.json")
     except (FileNotFoundError, NotADirectoryError):
         raise ValueError(f"dataset not found at {path}") from None
     spec = DatasetSpec.from_json({**manifest,
@@ -613,7 +601,7 @@ def _first_fault(split: Split, sizes: tuple, class_ids: range, rows: range,
             (labels < -_EXACT_LABEL_MAX) | (labels > _EXACT_LABEL_MAX)])
         ranged = ~faults.any(axis=0)
         wrong = np.zeros_like(ranged)
-        wrong[ranged] = _wrong_labels(task, classes[ranged], labels[ranged])
+        wrong[ranged] = labels[ranged] != _oracle_labels(task, classes[ranged])
         bad = np.flatnonzero(~ranged | wrong)
         if bad.size and (first is None or at[bad[0]] < first[0]):
             j = bad[0]

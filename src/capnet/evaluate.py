@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, fileio, models, oracle
+from . import data, models, oracle
 
 EVAL_BATCH = 1000
 
@@ -246,11 +246,12 @@ def pseudo_report(params, ds: data.Dataset, split: str) -> IntermediateReport:
         _prefix_predictions(p, d, feats), axis=0, prepend=0.0).T)
 
 
-def write_intermediate_jsonl(path, report: IntermediateReport):
-    fileio.write_files({path: "".join(
+def intermediate_jsonl(report: IntermediateReport) -> bytes:
+    """The report as `intermediates.jsonl`: one compact, key-sorted line per bag."""
+    return "".join(
         json.dumps({"classes": e.classes, "expected": e.expected, "predicted": e.predicted},
                    sort_keys=True, separators=(",", ":")) + "\n"
-        for e in report.entries).encode()})
+        for e in report.entries).encode()
 
 
 # -- order sensitivity and accuracy ----------------------------------------

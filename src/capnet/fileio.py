@@ -1,6 +1,6 @@
 """Artefact files: writes that leave no half-written file behind, the two
-artefact encodings, and the one field checker every JSON input goes
-through."""
+artefact encodings, and the one reader and field checker every JSON input
+goes through."""
 
 from __future__ import annotations
 
@@ -33,6 +33,27 @@ def write_files(payloads: dict) -> None:
         for path in payloads:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(f"{path}.tmp")
+
+
+def _no_key_twice(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"the key {next(k for k in keys if keys.count(k) > 1)!r} "
+                         "appears twice in one object")
+    return obj
+
+
+def read_json(path):
+    """The JSON value in the file at `path`: its bytes decoded as UTF-8, no
+    object at any depth holding a key twice. A file that does not decode or
+    parse raises ValueError naming `path`; a missing one, FileNotFoundError."""
+    with open(path, "rb") as f:
+        payload = f.read()
+    try:  # a UnicodeDecodeError and a JSONDecodeError are ValueErrors
+        return json.loads(payload.decode("utf-8"), object_pairs_hook=_no_key_twice)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def csv_bytes(rows) -> bytes:

@@ -118,6 +118,13 @@ class TrainResult:
     out_dir: str = None
 
 
+def check_batch_size(config: RunConfig, ds: data.Dataset):
+    """A batch may not be larger than `ds`'s train split."""
+    if config.batch_size > len(ds.splits["train"]):
+        raise ValueError(f"batch_size {config.batch_size} exceeds train set size "
+                         f"{len(ds.splits['train'])}")
+
+
 def train_run(config: RunConfig, out_dir=None, dataset: data.Dataset = None) -> TrainResult:
     """Train one model; optionally write metrics.csv, timing.csv, checkpoint.
 
@@ -127,9 +134,8 @@ def train_run(config: RunConfig, out_dir=None, dataset: data.Dataset = None) -> 
     """
     ds = dataset if dataset is not None else data.load_dataset(
         data.resolve_path(config.dataset), splits=("train", "val"))
+    check_batch_size(config, ds)
     train_bags = ds.splits["train"]
-    if config.batch_size > len(train_bags):
-        raise ValueError(f"batch_size {config.batch_size} exceeds train set size {len(train_bags)}")
 
     spec = replace(config.model, input_dim=ds.feature_dim())
     params = models.init_model(spec, config.seed)
@@ -212,8 +218,7 @@ def load_params(checkpoint_path) -> ad.ParamStore:
     """Rebuild a ParamStore from checkpoint.capn plus its .json sidecar, whose
     fields are checked first; a bad one raises ValueError naming it."""
     meta_path = os.path.splitext(checkpoint_path)[0] + ".json"
-    with open(meta_path) as f:
-        meta = fileio.check_fields(json.load(f), _CHECKPOINT_SCHEMA, meta_path)
+    meta = fileio.check_fields(fileio.read_json(meta_path), _CHECKPOINT_SCHEMA, meta_path)
     params = models.init_model(models.ModelSpec(**meta["model"]), meta["seed"])
     params.load_state_dict(ad.load_checkpoint(checkpoint_path))
     return params

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capnet import autodiff, cli, data, models, train
+from capnet import autodiff, cli, data, evaluate, fileio, models, train
 from test_data import (JSON_VALUES, LAYOUT, damaged, make_idx_images, make_idx_labels,
                        record_reads, rewrite_line, write_split)
 
@@ -316,6 +316,34 @@ def test_wrong_type_manifest_fields_name_the_field_and_exit_2(tmp_path, capsys, 
     assert f"manifest.json field '{named}' is " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, why", [
+    (lambda text: text[:-3], "is not valid JSON: Expecting"),
+    (lambda text: text.replace(b'"task"', b'"t\xffask"'),
+     "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    (lambda text: text.replace(b'"seed": 1', b'"seed": 1, "seed": 2'),
+     "is not valid JSON: the key 'seed' appears twice in one object"),
+])
+def test_unparsable_manifest_names_its_path_and_exits_2(trained, tmp_path, monkeypatch, capsys,
+                                                        edit, why):
+    """`capnet train` and `capnet eval` refuse the manifest before a split
+    file is read and before `--out` is made."""
+    ds, ckpt, _ = trained
+    copy = str(tmp_path / "ds")
+    shutil.copytree(ds, copy)
+    manifest = Path(copy) / "manifest.json"
+    manifest.write_bytes(edit(manifest.read_bytes()))
+    reads = record_reads(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))} {re.escape(why)}"):
+        data.load_dataset(copy)
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", train_config(tmp_path, copy), "--out", str(out)]) == 2
+    assert f"{manifest} {why}" in capsys.readouterr().err
+    assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", copy, "--out", str(out),
+                     "--metric", "mse"]) == 2
+    assert f"{manifest} {why}" in capsys.readouterr().err
+    assert reads == [] and not out.exists()
+
+
 def test_manifest_must_be_an_object_with_every_field(tmp_path):
     ds = dataset_dir(tmp_path, counts=(20, 5, 5))
     manifest_path = os.path.join(ds, "manifest.json")
@@ -494,8 +522,8 @@ def test_experiment_manifest_and_csv_bytes_are_pinned(tmp_path):
                              enc_layers=2, dec_layers=2)
     cfg = train.RunConfig(dataset="/data/wtri", model=model, epochs=2, seed=0)
     cli._write_experiment_manifest(str(tmp_path), cfg, [0, 3], ["b.csv", "a.csv"])
-    cli._write_csv(str(tmp_path / "x.csv"), ["pass", "mse"],
-                   [[0, repr(0.1)], ["mean", repr(1 / 3)], ["", "a,b"]])
+    fileio.write_files({str(tmp_path / "x.csv"): fileio.csv_bytes(
+        [["pass", "mse"], [0, repr(0.1)], ["mean", repr(1 / 3)], ["", "a,b"]])})
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                for f in ("experiment.json", "x.csv")}
     assert digests == {
@@ -574,6 +602,21 @@ def test_eval_metric_validation(trained, capsys):
     assert not os.path.exists(out)
 
 
+def test_eval_writes_no_file_when_a_later_metric_fails(trained, tmp_path, monkeypatch, capsys):
+    """`mse` runs, `accuracy` raises: `capnet eval` writes its files only
+    once every metric has run, so `--out` is never made."""
+    ds, ckpt, _ = trained
+
+    def rounded_accuracy(params, ds, split):
+        raise RuntimeError("accuracy failed")
+    monkeypatch.setattr(evaluate, "rounded_accuracy", rounded_accuracy)
+    out = tmp_path / "o"
+    assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", ds, "--out", str(out),
+                     "--metric", "mse,accuracy"]) == 3
+    assert "RuntimeError: accuracy failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_missing_checkpoint(trained):
     ds, _, tmp_path = trained
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "no.capn"),
@@ -600,6 +643,9 @@ def test_eval_truncated_checkpoint(trained, tmp_path, capsys):
     (lambda m: m.update(model=[1]), "c.json field 'model' is [1], expected an object"),
     (lambda m: m.update(seed="x"), "c.json field 'seed' is 'x', expected an int"),
     (lambda m: [m], "c.json holds list, not an object"),
+    (lambda m: fileio.json_bytes(m)[:-3], "c.json is not valid JSON: Expecting"),
+    (lambda m: fileio.json_bytes(m).replace(b'"seed": 0', b'"seed": 0, "seed": 1'),
+     "c.json is not valid JSON: the key 'seed' appears twice in one object"),
 ])
 def test_malformed_checkpoint_json_names_the_field_and_exit_2(trained, tmp_path, capsys,
                                                               edit, field):
@@ -608,7 +654,10 @@ def test_malformed_checkpoint_json_names_the_field_and_exit_2(trained, tmp_path,
     with open(ckpt[:-len(".capn")] + ".json") as f:
         meta = json.load(f)
     edited = edit(meta)
-    write_json(tmp_path / "c.json", meta if edited is None else edited)
+    if type(edited) is bytes:
+        (tmp_path / "c.json").write_bytes(edited)
+    else:
+        write_json(tmp_path / "c.json", meta if edited is None else edited)
     with pytest.raises(ValueError, match=re.escape(field)):
         train.load_params(str(tmp_path / "c.capn"))
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "c.capn"), "--dataset", ds,
@@ -831,17 +880,29 @@ def test_sweep_train_sizes(tmp_path):
     assert [(r[0], r[1]) for r in rows[1:]] == [("deepset", "100"), ("deepset", "200")]
 
 
-def test_sweep_config_validation(tmp_path, capsys):
+def test_sweep_config_validation(tmp_path, monkeypatch, capsys):
     """Every sweep config fault exits 2 with its own error and creates no
-    `--out`. Only a train size's range needs the dataset: every other fault
-    is tried on a dataset whose split files are all damaged, so a check that
-    ran after a split was read would report the checksum failure instead."""
+    `--out`. Only a train size's range, and a batch larger than a train
+    size, need the dataset; both are checked for every size before a cell
+    trains. Every other fault is tried on a dataset whose split files are
+    all damaged, so a check that ran after a split was read would report
+    the checksum failure instead."""
     out = str(tmp_path / "o")
     ds = dataset_dir(tmp_path)
     for size in (999, 0, -5):
         cfg = sweep_config(tmp_path, ds, train_sizes=[size])
         assert cli.main(["sweep", "--config", cfg, "--out", out]) == 2
         assert f"train size {size} is outside 1..200" in capsys.readouterr().err
+    trained_sizes, real_multi_seed = [], train.multi_seed
+
+    def multi_seed(config, seeds, dataset):
+        trained_sizes.append(len(dataset.splits["train"]))
+        return real_multi_seed(config, seeds, dataset)
+    monkeypatch.setattr(train, "multi_seed", multi_seed)
+    cfg = sweep_config(tmp_path, ds, train_sizes=[200, 10])
+    assert cli.main(["sweep", "--config", cfg, "--out", out]) == 2
+    assert "batch_size 50 exceeds train set size 10" in capsys.readouterr().err
+    assert trained_sizes == []
     damaged = damage_splits(dataset_dir(tmp_path, name="damaged", counts=(20, 5, 5)))
     missing = str(tmp_path / "no_dataset")
     for edit, why in [
@@ -910,20 +971,39 @@ def test_sweep_config_validation(tmp_path, capsys):
     ("sweep", {"families": []}, "sweep.json field 'families' is [], expected a list of strings, "
      "at least one"),
     ("sweep", {"model": {"input_dim": 784}}, "sweep.json has unknown field 'model.input_dim'"),
+    ("train", lambda text: text[:-1], "run.json is not valid JSON: Expecting"),
+    ("train", lambda text: text[:-1] + b', "seed": 0, "seed": 3}',
+     "run.json is not valid JSON: the key 'seed' appears twice in one object"),
+    ("train", lambda text: text.replace(b'"epochs"', b'"epochs\xff"'),
+     "run.json is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ("sweep", lambda text: text.replace(b'"hidden_dim": 6', b'"hidden_dim": 6, "hidden_dim": 7'),
+     "sweep.json is not valid JSON: the key 'hidden_dim' appears twice in one object"),
 ])
 def test_malformed_run_and_sweep_configs_name_the_field_and_exit_2(tmp_path, capsys, command,
                                                                    edit, why):
     """Every RunConfig field, and the sweep config's own fields and
-    sections, with a value of the wrong kind. Each is refused before a
-    split is read, so the dataset's damaged split files do not mask it."""
+    sections, with a value of the wrong kind, and a config file edited as
+    bytes that does not parse. Each is refused before a split is read, so
+    the dataset's damaged split files do not mask it."""
     ds = damage_splits(dataset_dir(tmp_path, counts=(20, 5, 5)))
+    fields = edit if type(edit) is dict else {}
     if command == "train":
         cfg = write_json(tmp_path / "run.json", {"dataset": ds, "model": SMALL_MODEL,
-                                                 "batch_size": 10, "epochs": 1, **edit})
+                                                 "batch_size": 10, "epochs": 1, **fields})
     else:
-        cfg = sweep_config(tmp_path, ds, **edit)
+        cfg = sweep_config(tmp_path, ds, **fields)
+    if callable(edit):
+        Path(cfg).write_bytes(edit(Path(cfg).read_bytes()))
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert why in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "sweep"])
+def test_a_missing_config_file_is_named_and_exits_2(tmp_path, capsys, command):
+    path = str(tmp_path / "missing.json")
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert path in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
 
 

@@ -213,8 +213,15 @@ def test_mult_set_size_limited_to_exact_float_labels():
         data.DatasetSpec(task="Mult", set_size=(3, 17))
 
 
+def label_fault(ds, split):
+    """The first bag of a symbolic `split` of `ds` that `load_dataset`'s bag
+    check refuses, as (row, why), or None."""
+    low, high = ds.task.class_range
+    return data._first_fault(split, ds.spec.sizes(), range(low, high + 1), range(-1, 0), ds.task)
+
+
 def labels_check_out(ds) -> bool:
-    return all(data.validate_labels(ds.task, split) for split in ds.splits.values())
+    return all(label_fault(ds, split) is None for split in ds.splits.values())
 
 
 def test_generation_is_deterministic_and_labels_check_out():
@@ -334,7 +341,7 @@ def test_load_names_the_first_bag_whose_label_is_not_the_oracles(tmp_path):
         data.load_dataset(tmp_path)
 
 
-def test_validate_labels_checks_every_size_group():
+def test_the_label_check_finds_a_wrong_label_in_every_size_group():
     ds = data.generate_dataset(data.DatasetSpec(task="WTri", set_size=(2, 5),
                                                 counts=(40, 30, 30), seed=4))
     assert labels_check_out(ds)
@@ -342,7 +349,8 @@ def test_validate_labels_checks_every_size_group():
         groups = dict(ds.splits["val"].groups)
         rows, classes, img_idx, labels = groups[n]
         groups[n] = (rows, classes, img_idx, labels + (np.arange(len(rows)) == len(rows) - 1))
-        assert not data.validate_labels(ds.task, data.Split(groups))
+        row, why = label_fault(ds, data.Split(groups))
+        assert row == rows[-1] and why.startswith("stored label")
 
 
 def test_pair_task_records_pairs_in_manifest():

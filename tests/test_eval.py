@@ -450,13 +450,12 @@ def test_pseudo_report_matches_per_bag(us_ds, family):
     assert report.mae == pytest.approx(float(np.mean(deltas)), rel=1e-12)
 
 
-def test_intermediate_jsonl_bytes_are_pinned(tmp_path):
+def test_intermediate_jsonl_bytes_are_pinned():
     """Digest of intermediates.jsonl as written before it went through a
-    temp file; the on-disk bytes must not change."""
+    temp file; the bytes `capnet eval` writes must not change."""
     report = evaluate.IntermediateReport(
         [evaluate.IntermediateEntry([1, 2], [1.0, 2.0], [0.5, 1 / 3])], 0.25, "pseudo")
-    evaluate.write_intermediate_jsonl(tmp_path / "i.jsonl", report)
-    assert hashlib.sha256((tmp_path / "i.jsonl").read_bytes()).hexdigest() == \
+    assert hashlib.sha256(evaluate.intermediate_jsonl(report)).hexdigest() == \
         "862011144502161bc8fede2a24889466bf3fc77bf37db181ca1c032e16cf4f35"
 
 
